@@ -13,6 +13,13 @@ state-identical service (the tests assert snapshot equality).
 Serialisation is JSON lines: the header object on the first line, one
 operation object per subsequent line (see ``docs/FAULTS.md`` for the
 format).  Appends are O(1); nothing is ever rewritten.
+
+A process killed mid-append leaves a *torn tail*: a final line with no
+newline that does not parse.  :meth:`Journal.load` drops it (counting it
+in :attr:`Journal.torn_lines`) and cuts it off the file so later appends
+start on a fresh line; the operation it held was never acknowledged.  A
+line that does not parse anywhere else is corruption and raises
+:class:`~repro.core.errors.ConfigurationError`.
 """
 
 from __future__ import annotations
@@ -84,12 +91,14 @@ class Journal:
     ``header`` is written by the service on attach (platform, policy,
     backlog limit); entries accumulate via :meth:`append`.  An optional
     ``path`` turns every append into an immediate JSONL write — the
-    write-ahead behaviour a crash-recovery log needs.
+    write-ahead behaviour a crash-recovery log needs.  ``torn_lines``
+    counts the torn tail dropped when the journal was read back (0 or 1).
     """
 
     header: dict[str, Any] = field(default_factory=dict)
     entries: list[JournalEntry] = field(default_factory=list)
     path: Path | None = None
+    torn_lines: int = field(default=0, compare=False)
 
     def __post_init__(self) -> None:
         if self.path is not None:
@@ -129,17 +138,37 @@ class Journal:
 
     @classmethod
     def from_jsonl(cls, text: str) -> Journal:
-        """Inverse of :meth:`to_jsonl`."""
-        lines = [line for line in text.splitlines() if line.strip()]
-        if not lines:
+        """Inverse of :meth:`to_jsonl`.
+
+        A final line without its newline that does not parse is a torn
+        tail: it is dropped and counted in :attr:`torn_lines`.  Any other
+        unparseable line raises :class:`ConfigurationError`.
+        """
+        lines = text.splitlines()
+        rows: list[tuple[int, Any]] = []
+        torn = 0
+        for number, line in enumerate(lines, start=1):
+            if not line.strip():
+                continue
+            try:
+                rows.append((number, json.loads(line)))
+            except json.JSONDecodeError as exc:
+                if number == len(lines) and not text.endswith("\n"):
+                    torn = 1
+                    break
+                raise ConfigurationError(f"journal line {number} is corrupt: {exc}") from exc
+        if not rows:
             raise ConfigurationError("empty journal")
-        header = json.loads(lines[0])
-        if header.get("format") != JOURNAL_FORMAT:
-            raise ConfigurationError(
-                f"not a {JOURNAL_FORMAT} journal (header: {header.get('format')!r})"
-            )
-        journal = cls(header=header)
-        journal.entries = [JournalEntry.from_dict(json.loads(line)) for line in lines[1:]]
+        header = rows[0][1]
+        if not isinstance(header, dict) or header.get("format") != JOURNAL_FORMAT:
+            found = header.get("format") if isinstance(header, dict) else header
+            raise ConfigurationError(f"not a {JOURNAL_FORMAT} journal (header: {found!r})")
+        journal = cls(header=header, torn_lines=torn)
+        for number, row in rows[1:]:
+            try:
+                journal.entries.append(JournalEntry.from_dict(row))
+            except (KeyError, TypeError, ValueError) as exc:
+                raise ConfigurationError(f"journal line {number} is corrupt: {exc!r}") from exc
         return journal
 
     def save(self, path: str | Path) -> None:
@@ -148,7 +177,21 @@ class Journal:
 
     @classmethod
     def load(cls, path: str | Path) -> Journal:
-        """Read a journal previously written by :meth:`save` (or live appends)."""
-        journal = cls.from_jsonl(Path(path).read_text())
-        journal.path = Path(path)
+        """Read a journal previously written by :meth:`save` (or live appends).
+
+        The file is repaired for the appends that follow: a torn tail is
+        truncated away, and a complete last line missing only its newline
+        gets one.
+        """
+        path = Path(path)
+        raw = path.read_bytes()
+        journal = cls.from_jsonl(raw.decode("utf-8", errors="replace"))
+        if not raw.endswith(b"\n"):
+            with path.open("r+b") as fh:
+                if journal.torn_lines:
+                    fh.truncate(raw.rfind(b"\n") + 1)
+                else:
+                    fh.seek(0, 2)
+                    fh.write(b"\n")
+        journal.path = path
         return journal

@@ -98,8 +98,9 @@ def plan_striped(
     if not (t_end > t_start):
         raise ConfigurationError(f"empty window [{t_start}, {t_end}]")
 
-    # Candidate horizons: every breakpoint strictly inside the window of
-    # any involved timeline, plus the deadline.  Headroom over [t_start, b]
+    # Candidate horizons: every breakpoint of any involved timeline in
+    # (t_start, t_end] (the windowed query's bounds), plus the deadline,
+    # which is always one.  Headroom over [t_start, b]
     # is constant between breakpoints, so for each horizon b we compute the
     # achievable aggregate rate R_b and check whether the transfer can end
     # at T* = t_start + volume / R_b ≤ b.  Rates sized against [t_start, b]
@@ -107,14 +108,11 @@ def plan_striped(
     # the interval shrinks), so the first horizon that works is optimal up
     # to that conservatism.
     candidates = {t_end}
-    points: list[float] = list(ledger.egress_timeline(egress).breakpoints())
-    points.extend(ledger.degradation_edges("egress", egress))
+    candidates.update(ledger.egress_timeline(egress).breakpoints(t_start, t_end).tolist())
+    candidates.update(ledger.degradation_edges("egress", egress, t_start, t_end))
     for s in sources:
-        points.extend(ledger.ingress_timeline(s).breakpoints())
-        points.extend(ledger.degradation_edges("ingress", s))
-    for t in points:
-        if t_start < t < t_end:
-            candidates.add(float(t))
+        candidates.update(ledger.ingress_timeline(s).breakpoints(t_start, t_end).tolist())
+        candidates.update(ledger.degradation_edges("ingress", s, t_start, t_end))
 
     def achievable_rate(horizon: float) -> float:
         free_egress = ledger.free_capacity("egress", egress, t_start, horizon)

@@ -11,7 +11,9 @@ Candidate starts are the request's window opening plus every instant where
 the pair's available capacity can change: usage breakpoints of both port
 timelines and, on degraded ledgers, the capacity-change instants.  Between
 two consecutive candidates the available capacity is constant, so checking
-only candidates is exhaustive.
+only candidates is exhaustive.  The instants are asked for the request's
+window only (``CapacityProfile.breakpoints(lo, hi)``), so one decision
+costs O(log n + window), not O(booked history).
 """
 
 from __future__ import annotations
@@ -54,7 +56,9 @@ class LedgerView(Protocol):
 
     def egress_timeline(self, e: int) -> CapacityProfile: ...
 
-    def degradation_edges(self, side: str, port: int) -> Iterator[float]: ...
+    def degradation_edges(
+        self, side: str, port: int, lo: float | None = None, hi: float | None = None
+    ) -> Iterator[float]: ...
 
     def free_capacity(self, side: str, port: int, t0: float, t1: float) -> float: ...
 
@@ -171,14 +175,7 @@ def earliest_fit(
             probe.reason = RejectReason.WINDOW_INFEASIBLE
         _count_fit(request, candidates=0, accepted=False)
         return None
-    starts = {earliest}
-    points: list[float] = list(ledger.ingress_timeline(request.ingress).breakpoints())
-    points.extend(ledger.egress_timeline(request.egress).breakpoints())
-    points.extend(ledger.degradation_edges("ingress", request.ingress))
-    points.extend(ledger.degradation_edges("egress", request.egress))
-    for t in points:
-        if earliest < t <= latest:
-            starts.add(float(t))
+    starts = {earliest, *_pair_breakpoints(ledger, request, earliest, latest)}
     tol = deadline_tolerance(request.t_end)
     examined = 0
     saw_capacity_failure = False
@@ -237,17 +234,26 @@ def _count_fit(request: Request, *, candidates: int, accepted: bool) -> None:
     ).inc(float(candidates))
 
 
+def _pair_breakpoints(
+    ledger: LedgerView, request: Request, lo: float, hi: float
+) -> list[float]:
+    """Instants in ``(lo, hi]`` where the pair's residual capacity can change.
+
+    Usage breakpoints of both port timelines plus the capacity-change
+    instants of degraded ports, possibly repeated.  Every source is asked
+    for the window only, so the cost is O(log n + k) in the profile size n
+    and the k instants returned, not O(history).
+    """
+    points: list[float] = ledger.ingress_timeline(request.ingress).breakpoints(lo, hi).tolist()
+    points.extend(ledger.egress_timeline(request.egress).breakpoints(lo, hi).tolist())
+    points.extend(ledger.degradation_edges("ingress", request.ingress, lo, hi))
+    points.extend(ledger.degradation_edges("egress", request.egress, lo, hi))
+    return points
+
+
 def _pair_edges(ledger: LedgerView, request: Request, lo: float, hi: float) -> list[float]:
     """Instants in ``(lo, hi)`` where the pair's residual capacity can change."""
-    edges: set[float] = set()
-    points: list[float] = list(ledger.ingress_timeline(request.ingress).breakpoints())
-    points.extend(ledger.egress_timeline(request.egress).breakpoints())
-    points.extend(ledger.degradation_edges("ingress", request.ingress))
-    points.extend(ledger.degradation_edges("egress", request.egress))
-    for t in points:
-        if lo < t < hi:
-            edges.add(float(t))
-    return sorted(edges)
+    return sorted({t for t in _pair_breakpoints(ledger, request, lo, hi) if t < hi})
 
 
 def earliest_fit_profile(

@@ -126,8 +126,11 @@ class BreakpointProfile(CapacityProfile):
                     continue
             yield (seg_start, seg_end, self._values[k])
 
-    def breakpoints(self) -> np.ndarray:
-        return np.array([t for t in self._breakpoints if math.isfinite(t)], dtype=np.float64)
+    def breakpoints(self, lo: float | None = None, hi: float | None = None) -> np.ndarray:
+        pts = self._breakpoints
+        i = 0 if lo is None else bisect_right(pts, lo)
+        j = len(pts) if hi is None else bisect_right(pts, hi)
+        return np.array([t for t in pts[i:j] if math.isfinite(t)], dtype=np.float64)
 
     @property
     def num_segments(self) -> int:

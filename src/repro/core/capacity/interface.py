@@ -135,8 +135,15 @@ class CapacityProfile:
         """
         raise NotImplementedError
 
-    def breakpoints(self) -> np.ndarray:
-        """The finite breakpoints as a numpy array."""
+    def breakpoints(self, lo: float | None = None, hi: float | None = None) -> np.ndarray:
+        """The finite breakpoints ``t`` with ``lo < t <= hi``, ascending.
+
+        A ``None`` bound is open, so ``breakpoints()`` is every finite
+        breakpoint.  Both backends bisect to the bounds, so a windowed call
+        costs O(log n + k) for k breakpoints in the window — the form the
+        earliest-fit search uses, making one decision independent of how
+        much history the profile holds.
+        """
         raise NotImplementedError
 
     @property

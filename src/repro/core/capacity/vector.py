@@ -219,9 +219,12 @@ class VectorProfile(CapacityProfile):
                     continue
             yield (seg_start, seg_end, value)
 
-    def breakpoints(self) -> np.ndarray:
+    def breakpoints(self, lo: float | None = None, hi: float | None = None) -> np.ndarray:
         pts = self._breakpoints
-        return pts[np.isfinite(pts)].copy()
+        i = 0 if lo is None else int(np.searchsorted(pts, lo, side="right"))
+        j = len(pts) if hi is None else int(np.searchsorted(pts, hi, side="right"))
+        window = pts[i:j]
+        return window[np.isfinite(window)]
 
     @property
     def num_segments(self) -> int:

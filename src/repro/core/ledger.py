@@ -175,12 +175,14 @@ class PortLedger:
             worst = max(worst, usage[port].max_usage(seg_start, seg_end) - effective)
         return worst
 
-    def degradation_edges(self, side: str, port: int) -> Iterator[float]:
-        """Finite instants where a port's effective capacity changes."""
+    def degradation_edges(
+        self, side: str, port: int, lo: float | None = None, hi: float | None = None
+    ) -> Iterator[float]:
+        """Finite instants in ``(lo, hi]`` where a port's effective capacity changes."""
         _, reductions = self._side(side)
         red = reductions[port]
         if red is not None:
-            yield from red.breakpoints()
+            yield from red.breakpoints(lo, hi).tolist()
 
     # ------------------------------------------------------------------
     def fits(self, ingress: int, egress: int, t0: float, t1: float, bw: float) -> bool:

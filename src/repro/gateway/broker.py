@@ -162,10 +162,12 @@ class ShardBroker:
         """Committed bandwidth on an owned port at time ``t``."""
         return self.timeline(side, port).usage_at(t)
 
-    def degradation_edges(self, side: str, port: int) -> Iterator[float]:
-        """Capacity-change instants of an owned port."""
+    def degradation_edges(
+        self, side: str, port: int, lo: float | None = None, hi: float | None = None
+    ) -> Iterator[float]:
+        """Capacity-change instants in ``(lo, hi]`` of an owned port."""
         self._require_owned(side, port)
-        return self._owned_ledger.degradation_edges(side, port)
+        return self._owned_ledger.degradation_edges(side, port, lo, hi)
 
     def has_degradations(self, side: str, port: int) -> bool:
         """Has any capacity reduction been registered on the port?"""

@@ -68,9 +68,11 @@ class PairLedgerView:
         """Usage profile of the pair's egress port."""
         return self._broker_for("egress", e).timeline("egress", e)
 
-    def degradation_edges(self, side: str, port: int) -> Iterator[float]:
-        """Capacity-change instants of either port of the pair."""
-        return self._broker_for(side, port).degradation_edges(side, port)
+    def degradation_edges(
+        self, side: str, port: int, lo: float | None = None, hi: float | None = None
+    ) -> Iterator[float]:
+        """Capacity-change instants in ``(lo, hi]`` of either port of the pair."""
+        return self._broker_for(side, port).degradation_edges(side, port, lo, hi)
 
     def free_capacity(self, side: str, port: int, t0: float, t1: float) -> float:
         """Guaranteed free bandwidth on either port over ``[t0, t1)``."""

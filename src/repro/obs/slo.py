@@ -19,14 +19,16 @@ verdicts; ``grid-obs slo`` replays the same evaluation offline against a
 
 from __future__ import annotations
 
+import heapq
 import json
 import math
+from collections import deque
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Any
 
-from ..core.errors import ReproError
+from ..core.errors import ConfigurationError, ReproError
 from .causal import iter_captures
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
@@ -139,12 +141,221 @@ class SloBreach:
         }
 
 
+class _Aggregate:
+    """One rule's value, maintained incrementally over its window.
+
+    Rows arrive in non-decreasing time (the watchdog checks this).  A row
+    leaves the window once ``t < now - window``; because both the rows and
+    the evaluation instants are ordered, every eviction happens at the left
+    end of a deque, and a row evicted once is out of every later window.
+    A whole-run window (``math.inf``) never evicts, so its rows are not kept
+    at all: the running aggregate is the whole state.
+    """
+
+    __slots__ = ("window", "_rows", "_expiring")
+
+    def __init__(self, window: float) -> None:
+        self.window = window
+        self._rows: deque[tuple[float, Any]] = deque()
+        self._expiring = not math.isinf(window)
+
+    def add(self, t: float, value: Any) -> None:
+        raise NotImplementedError
+
+    def _drop(self, value: Any) -> None:
+        """Retract one evicted row from the running aggregate."""
+
+    def evict(self, now: float) -> None:
+        since = now - self.window
+        rows = self._rows
+        while rows and rows[0][0] < since:
+            self._drop(rows.popleft()[1])
+
+    def value(self) -> float | None:
+        raise NotImplementedError
+
+
+class _AcceptRate(_Aggregate):
+    """Accepted share of the admissions in the window."""
+
+    __slots__ = ("_count", "_accepts")
+
+    def __init__(self, window: float) -> None:
+        super().__init__(window)
+        self._count = 0
+        self._accepts = 0
+
+    def add(self, t: float, value: Any) -> None:
+        self._count += 1
+        self._accepts += bool(value)
+        if self._expiring:
+            self._rows.append((t, value))
+
+    def _drop(self, value: Any) -> None:
+        self._count -= 1
+        self._accepts -= bool(value)
+
+    def value(self) -> float | None:
+        return self._accepts / self._count if self._count else None
+
+
+def _p99_rank(n: int) -> int:
+    """0-based rank of the p99 in ``n`` ascending values (``n >= 1``)."""
+    return max(min(n - 1, math.ceil(0.99 * n) - 1), 0)
+
+
+def _settle(heap: list[float], gone: dict[float, int]) -> None:
+    """Pop lazily deleted keys off the top of ``heap``."""
+    while heap:
+        pending = gone.get(heap[0])
+        if not pending:
+            return
+        if pending == 1:
+            del gone[heap[0]]
+        else:
+            gone[heap[0]] = pending - 1
+        heapq.heappop(heap)
+
+
+def _compact(heap: list[float], gone: dict[float, int]) -> list[float]:
+    """``heap`` without its lazily deleted keys (clears ``gone``)."""
+    kept = []
+    for key in heap:
+        pending = gone.get(key)
+        if pending:
+            gone[key] = pending - 1
+        else:
+            kept.append(key)
+    gone.clear()
+    heapq.heapify(kept)
+    return kept
+
+
+class _P99(_Aggregate):
+    """Exact p99 order statistic of the admission latencies in the window.
+
+    Two heaps split the window's latencies at the p99 rank: ``_low`` (a
+    max-heap of negated values) holds the smallest ``rank + 1`` values, so
+    its top is the answer, and ``_high`` (a min-heap) holds the rest.
+    Evicted latencies are deleted lazily — counted in ``_gone_*`` and
+    popped when they surface — and a heap is rebuilt once dead keys make up
+    half of it, so the state stays O(window).  Insertion and eviction cost
+    O(log window); reading the value costs O(1) amortised.
+    """
+
+    __slots__ = ("_low", "_high", "_n_low", "_n_high", "_gone_low", "_gone_high")
+
+    def __init__(self, window: float) -> None:
+        super().__init__(window)
+        self._low: list[float] = []
+        self._high: list[float] = []
+        self._n_low = 0
+        self._n_high = 0
+        self._gone_low: dict[float, int] = {}
+        self._gone_high: dict[float, int] = {}
+
+    def _in_low(self, latency: float) -> bool:
+        _settle(self._low, self._gone_low)
+        return self._n_low > 0 and latency <= -self._low[0]
+
+    def add(self, t: float, value: Any) -> None:
+        if self._in_low(value):
+            heapq.heappush(self._low, -value)
+            self._n_low += 1
+        else:
+            heapq.heappush(self._high, value)
+            self._n_high += 1
+        self._rebalance()
+        if self._expiring:
+            self._rows.append((t, value))
+
+    def _drop(self, value: Any) -> None:
+        if self._in_low(value):
+            self._gone_low[-value] = self._gone_low.get(-value, 0) + 1
+            self._n_low -= 1
+        else:
+            self._gone_high[value] = self._gone_high.get(value, 0) + 1
+            self._n_high -= 1
+        self._rebalance()
+        if len(self._low) > 2 * self._n_low + 32:
+            self._low = _compact(self._low, self._gone_low)
+        if len(self._high) > 2 * self._n_high + 32:
+            self._high = _compact(self._high, self._gone_high)
+
+    def _rebalance(self) -> None:
+        n = self._n_low + self._n_high
+        target = _p99_rank(n) + 1 if n else 0
+        while self._n_low > target:
+            _settle(self._low, self._gone_low)
+            heapq.heappush(self._high, -heapq.heappop(self._low))
+            self._n_low -= 1
+            self._n_high += 1
+        while self._n_low < target:
+            _settle(self._high, self._gone_high)
+            heapq.heappush(self._low, -heapq.heappop(self._high))
+            self._n_high -= 1
+            self._n_low += 1
+
+    def value(self) -> float | None:
+        if not self._n_low:
+            return None
+        _settle(self._low, self._gone_low)
+        return -self._low[0]
+
+
+class _Extreme(_Aggregate):
+    """Worst health sample in the window: the minimum under a floor rule,
+    the maximum under a ceiling rule.
+
+    The rows deque is a monotonic queue: a sample that a later, no better
+    one outlives can never be the answer, so it is dropped on arrival and
+    the front is always the extreme.  Under a whole-run window nothing is
+    ever evicted, so only the front is kept and the state is one sample.
+    """
+
+    __slots__ = ("_floor",)
+
+    def __init__(self, window: float, *, floor: bool) -> None:
+        super().__init__(window)
+        self._floor = floor
+
+    def add(self, t: float, value: Any) -> None:
+        rows = self._rows
+        if self._floor:
+            while rows and rows[-1][1] >= value:
+                rows.pop()
+        else:
+            while rows and rows[-1][1] <= value:
+                rows.pop()
+        if self._expiring or not rows:
+            rows.append((t, value))
+
+    def value(self) -> float | None:
+        return self._rows[0][1] if self._rows else None
+
+
+def _aggregate_for(rule: SloRule) -> _Aggregate:
+    if rule.metric == "accept_rate":
+        return _AcceptRate(rule.window)
+    if rule.metric == "p99_admission_latency":
+        return _P99(rule.window)
+    return _Extreme(rule.window, floor=rule.bound == "floor")
+
+
 class SloWatchdog:
     """Evaluates a rule set over the gateway's windowed health aggregates.
 
     Breaches are **edge-triggered**: a rule that stays violated across
     many evaluations produces one breach when it first crosses and a new
     one only after it recovers and crosses again.
+
+    Each rule keeps its own incremental aggregate (see :class:`_Aggregate`),
+    so an evaluation costs O(1) per rule plus the evictions since the last
+    one, however long the run.  The aggregates rely on time moving forward:
+    ingested rows must arrive in non-decreasing time and evaluation
+    instants must not decrease — the gateway's clock guarantees both, and
+    the watchdog raises :class:`~repro.core.errors.ConfigurationError`
+    otherwise.
     """
 
     def __init__(self, rules: Sequence[SloRule]) -> None:
@@ -154,14 +365,37 @@ class SloWatchdog:
             raise SloRuleError(f"duplicate rule name(s): {dupes}")
         self.rules = tuple(rules)
         self.breaches: list[SloBreach] = []
-        self._admissions: list[tuple[float, bool, float]] = []
-        self._samples: dict[str, list[tuple[float, float]]] = {}
+        self._aggregates = tuple(_aggregate_for(rule) for rule in self.rules)
+        self._accept_rates: tuple[_Aggregate, ...] = ()
+        self._latencies: tuple[_Aggregate, ...] = ()
+        self._samples: dict[str, tuple[_Aggregate, ...]] = {}
+        for rule, aggregate in zip(self.rules, self._aggregates):
+            if rule.metric == "accept_rate":
+                self._accept_rates += (aggregate,)
+            elif rule.metric == "p99_admission_latency":
+                self._latencies += (aggregate,)
+            else:
+                self._samples[rule.metric] = self._samples.get(rule.metric, ()) + (aggregate,)
+        self._decisions = 0
+        self._last_row = -math.inf
+        self._last_eval = -math.inf
         self._active: set[str] = set()
+        self._last_values: dict[str, float | None] = {rule.name: None for rule in self.rules}
 
     @property
     def ok(self) -> bool:
         """True while no rule has ever breached."""
         return not self.breaches
+
+    @property
+    def decisions(self) -> int:
+        """Admission decisions ingested so far (whatever the rule windows)."""
+        return self._decisions
+
+    @property
+    def values(self) -> dict[str, float | None]:
+        """Each rule's value at the last evaluation (``None``: empty window)."""
+        return dict(self._last_values)
 
     @property
     def active(self) -> tuple[str, ...]:
@@ -179,41 +413,25 @@ class SloWatchdog:
         """True when no rule is violated *currently* (see :attr:`active`)."""
         return not self._active
 
+    def _row_at(self, t: float) -> None:
+        if t < self._last_row:
+            raise ConfigurationError(f"SLO sample time went backwards: {t} < {self._last_row}")
+        self._last_row = t
+
     def admission(self, t: float, *, accepted: bool, latency: float) -> None:
         """Ingest one admission decision (latency in simulated time)."""
-        self._admissions.append((t, accepted, latency))
+        self._row_at(t)
+        self._decisions += 1
+        for aggregate in self._accept_rates:
+            aggregate.add(t, accepted)
+        for aggregate in self._latencies:
+            aggregate.add(t, latency)
 
     def sample(self, metric: str, t: float, value: float) -> None:
         """Ingest one health sample (hold age, backlog depth, utilisation)."""
-        self._samples.setdefault(metric, []).append((t, value))
-
-    def _prune(self, now: float) -> None:
-        finite = [rule.window for rule in self.rules if not math.isinf(rule.window)]
-        if len(finite) != len(self.rules):
-            return  # some rule looks at the whole run; keep everything
-        horizon = now - max(finite, default=0.0)
-        self._admissions = [row for row in self._admissions if row[0] >= horizon]
-        for metric, rows in self._samples.items():
-            self._samples[metric] = [row for row in rows if row[0] >= horizon]
-
-    def _value_of(self, rule: SloRule, now: float) -> float | None:
-        since = now - rule.window
-        if rule.metric == "accept_rate":
-            decided = [row for row in self._admissions if row[0] >= since]
-            if not decided:
-                return None
-            return sum(1 for row in decided if row[1]) / len(decided)
-        if rule.metric == "p99_admission_latency":
-            latencies = sorted(row[2] for row in self._admissions if row[0] >= since)
-            if not latencies:
-                return None
-            index = min(len(latencies) - 1, math.ceil(0.99 * len(latencies)) - 1)
-            return latencies[max(index, 0)]
-        rows = [row[1] for row in self._samples.get(rule.metric, ()) if row[0] >= since]
-        if not rows:
-            return None
-        # worst-case within the window: the direction the bound cares about
-        return min(rows) if rule.bound == "floor" else max(rows)
+        self._row_at(t)
+        for aggregate in self._samples.get(metric, ()):
+            aggregate.add(t, value)
 
     def evaluate(
         self,
@@ -223,10 +441,16 @@ class SloWatchdog:
         recorder: FlightRecorder | None = None,
     ) -> list[SloBreach]:
         """Evaluate every rule at ``now``; returns breaches new this call."""
-        self._prune(now)
+        if now < self._last_eval:
+            raise ConfigurationError(
+                f"SLO evaluation time went backwards: {now} < {self._last_eval}"
+            )
+        self._last_eval = now
         fresh: list[SloBreach] = []
-        for rule in self.rules:
-            value = self._value_of(rule, now)
+        for rule, aggregate in zip(self.rules, self._aggregates):
+            aggregate.evict(now)
+            value = aggregate.value()
+            self._last_values[rule.name] = value
             if value is None or not rule.violated(value):
                 self._active.discard(rule.name)
                 continue

@@ -59,9 +59,7 @@ class EarliestStartFlexible(Scheduler):
             ledger.ingress_timeline(request.ingress),
             ledger.egress_timeline(request.egress),
         ):
-            for t in timeline.breakpoints():
-                if request.t_start < t <= latest:
-                    starts.add(float(t))
+            starts.update(timeline.breakpoints(request.t_start, latest).tolist())
         return sorted(starts)
 
     def _admit(

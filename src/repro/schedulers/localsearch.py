@@ -58,9 +58,7 @@ def _decode_flexible(
             ledger.ingress_timeline(request.ingress),
             ledger.egress_timeline(request.egress),
         ):
-            for t in timeline.breakpoints():
-                if request.t_start < t <= latest:
-                    starts.add(float(t))
+            starts.update(timeline.breakpoints(request.t_start, latest).tolist())
         for sigma in sorted(starts):
             bw = policy.assign(request, sigma)
             if bw is None:

@@ -130,6 +130,11 @@ class ServeApp:
         )
         watchdog = SloWatchdog(rules) if rules else None
         self.journal, resume = self._attach_journal(config)
+        if self.journal.torn_lines and self.telemetry.enabled:
+            self.telemetry.metrics.counter(
+                "journal_torn_lines_total",
+                "Torn journal tails (appends cut short by a crash) dropped on restart.",
+            ).inc(float(self.journal.torn_lines))
         if resume:
             self.gateway = Gateway.resume(
                 self.journal, telemetry=self.telemetry, slo=watchdog

@@ -148,3 +148,35 @@ class TestErrorParity:
             profile.add(5.0, 5.0, 1.0)
         assert profile.max_usage(0.0, 10.0) == 2.0
         assert profile.num_segments == 3
+
+
+@pytest.mark.parametrize("seed", SEEDS[:4])
+def test_windowed_breakpoints_equal_filtered_full_list(seed):
+    """``breakpoints(lo, hi)`` is ``breakpoints()`` filtered to ``(lo, hi]``."""
+    rng = np.random.default_rng(seed)
+    bp = make_profile("breakpoint")
+    vec = make_profile("vector")
+    for _ in range(60):
+        # Integer grid so bounds below can land exactly on breakpoints.
+        t0 = float(rng.integers(0, 200))
+        t1 = t0 + float(rng.integers(1, 30))
+        bw = float(rng.integers(-20, 60)) or 1.0
+        bp.add(t0, t1, bw)
+        vec.add(t0, t1, bw)
+    full = [float(t) for t in bp.breakpoints()]
+    assert full == [float(t) for t in vec.breakpoints()]
+    assert len(full) > 10
+    bounds = [None, -math.inf, math.inf, -5.0, 250.0, *full[::3], *(t + 0.5 for t in full[1::4])]
+    for lo in bounds:
+        for hi in bounds:
+            expected = [
+                t for t in full if (lo is None or lo < t) and (hi is None or t <= hi)
+            ]
+            assert bp.breakpoints(lo, hi).tolist() == expected, (lo, hi)
+            assert vec.breakpoints(lo, hi).tolist() == expected, (lo, hi)
+    # A bound exactly on a breakpoint: open at lo, closed at hi.
+    t = full[len(full) // 2]
+    for profile in (bp, vec):
+        assert t not in profile.breakpoints(t, t + 1000.0).tolist()
+        assert profile.breakpoints(t - 1000.0, t).tolist()[-1] == t
+        assert profile.breakpoints(t, t).size == 0

@@ -110,3 +110,70 @@ class TestReplay:
         del service  # "crash"
         rebuilt = ReservationService.replay(Journal.load(path))
         assert rebuilt.snapshot() == before
+
+
+class TestTornTail:
+    """A SIGKILL mid-append leaves a final line cut short, with no newline."""
+
+    def _wal(self, platform, path):
+        service = ReservationService(platform, journal=Journal(path=path))
+        service.submit(ingress=0, egress=1, volume=5000.0, deadline=100.0, now=0.0)
+        service.submit(ingress=1, egress=0, volume=3000.0, deadline=80.0, now=5.0)
+        return service
+
+    def test_torn_last_line_is_dropped_counted_and_truncated(self, platform, tmp_path):
+        path = tmp_path / "wal.jsonl"
+        service = self._wal(platform, path)
+        before = service.snapshot()
+        intact = path.read_bytes()
+        service.cancel(0, now=10.0)
+        cut = path.read_bytes()[: len(intact) + 17]  # the cancel, torn mid-object
+        path.write_bytes(cut)
+
+        loaded = Journal.load(path)
+        assert loaded.torn_lines == 1
+        assert [e.op for e in loaded] == ["submit", "submit"]
+        assert path.read_bytes() == intact  # the torn bytes are gone from disk
+        rebuilt = ReservationService.replay(loaded)
+        assert rebuilt.snapshot() == before
+
+        # Appends after the restart start on a fresh line: the log stays readable.
+        loaded.append("cancel", 11.0, rid=0)
+        again = Journal.load(path)
+        assert again.torn_lines == 0
+        assert [e.op for e in again] == ["submit", "submit", "cancel"]
+
+    def test_complete_last_line_missing_its_newline_is_kept(self, platform, tmp_path):
+        path = tmp_path / "wal.jsonl"
+        self._wal(platform, path)
+        path.write_bytes(path.read_bytes()[:-1])
+        loaded = Journal.load(path)
+        assert loaded.torn_lines == 0 and len(loaded) == 2
+        assert path.read_bytes().endswith(b"}\n")
+
+    def test_corrupt_middle_line_raises_configuration_error(self, platform, tmp_path):
+        path = tmp_path / "wal.jsonl"
+        self._wal(platform, path)
+        lines = path.read_text().splitlines(keepends=True)
+        lines[1] = lines[1][:20] + "\n"
+        path.write_text("".join(lines))
+        with pytest.raises(ConfigurationError, match="line 2"):
+            Journal.load(path)
+
+    def test_unparseable_last_line_with_newline_is_corruption(self, platform):
+        journal = Journal()
+        ReservationService(platform, journal=journal)
+        with pytest.raises(ConfigurationError, match="line 2"):
+            Journal.from_jsonl(journal.to_jsonl() + '{"op": "cancel", "no\n')
+
+    def test_entry_missing_its_op_is_corruption(self, platform):
+        journal = Journal()
+        ReservationService(platform, journal=journal)
+        with pytest.raises(ConfigurationError, match="line 2"):
+            Journal.from_jsonl(journal.to_jsonl() + '{"now": 1.0}\n')
+
+    def test_torn_header_alone_is_an_empty_journal(self, tmp_path):
+        path = tmp_path / "wal.jsonl"
+        path.write_text('{"format": "repro-jour')
+        with pytest.raises(ConfigurationError, match="empty journal"):
+            Journal.load(path)

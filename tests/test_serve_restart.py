@@ -230,3 +230,33 @@ def test_journal_file_is_json_lines(tmp_path):
     assert len(lines) > 1
     ops = [json.loads(line) for line in lines]
     assert any(op.get("op") == "gw_drain" for op in ops if isinstance(op, dict))
+
+
+def test_restart_survives_a_torn_journal_tail(tmp_path):
+    # A SIGKILL during an append leaves half a line and no newline behind.
+    journal_path = tmp_path / "torn.journal.jsonl"
+    app, _ = asyncio.run(drained_run(3, journal_path))
+    drained_snapshot = app.gateway.snapshot()
+    intact = journal_path.read_bytes()
+    with journal_path.open("ab") as fh:
+        fh.write(b'{"op": "gw_submit", "now": 99.5, "ingre')
+
+    successor = ServeApp(make_config(journal_path), clock=LogicalClock())
+    assert successor.journal.torn_lines == 1
+    assert successor.snapshot() == drained_snapshot
+    assert journal_path.read_bytes() == intact
+    counter = successor.telemetry.metrics.counter("journal_torn_lines_total", "")
+    assert sum(value for _, value in counter.samples()) == 1.0
+
+    # It keeps journaling on a clean line, so the next restart replays too.
+    successor.gateway.submit(
+        ingress=0,
+        egress=1,
+        volume=1.0,
+        deadline=successor.gateway.now + 500.0,
+        now=successor.gateway.now,
+    )
+    successor.gateway.drain(successor.gateway.now)
+    third = ServeApp(make_config(journal_path), clock=LogicalClock())
+    assert third.journal.torn_lines == 0
+    assert third.snapshot() == successor.snapshot()
