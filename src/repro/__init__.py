@@ -25,7 +25,6 @@ paper-vs-measured record.
 from ._version import __version__
 from .core import (
     Allocation,
-    BandwidthTimeline,
     CapacityError,
     CapacityProfile,
     ConfigurationError,
@@ -73,7 +72,6 @@ from .workload import (
 
 __all__ = [
     "Allocation",
-    "BandwidthTimeline",
     "CapacityError",
     "CapacityProfile",
     "ConfigurationError",

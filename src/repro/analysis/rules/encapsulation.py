@@ -1,9 +1,9 @@
 """GL004 — ledger and reservation internals are written only by their owners.
 
 Every capacity decision must flow through :class:`repro.core.ledger.PortLedger`
-(allocate/release/degrade) and the booking helpers of
+(allocate/release_pair/degrade) and the booking helpers of
 :mod:`repro.core.booking`; reservation lifecycle stamps are the
-:class:`repro.control.service.ReservationService`'s to set.  An out-of-band
+:class:`repro.control.book.ReservationBook`'s to set.  An out-of-band
 write — ``ledger._ingress[i] = ...``, ``reservation.cancelled_at = t`` from
 a scheduler — bypasses the Eq. 1 capacity checks and desynchronises journal
 replay from reality.
@@ -31,11 +31,11 @@ _PROTECTED: dict[str, tuple[str, ...]] = {
     "_egress": ("core/ledger.py", "core/booking.py"),
     "_ingress_red": ("core/ledger.py", "core/booking.py"),
     "_egress_red": ("core/ledger.py", "core/booking.py"),
-    # Reservation lifecycle stamps (owned by the admission front-ends:
-    # the monolithic service and the sharded gateway facade).
-    "cancelled_at": ("control/service.py", "gateway/gateway.py"),
-    "aborted_at": ("control/service.py", "gateway/gateway.py"),
-    "displaced_at": ("control/service.py", "gateway/gateway.py"),
+    # Reservation lifecycle stamps (owned by the reservation book, which
+    # both admission front ends — service and gateway — call).
+    "cancelled_at": ("control/book.py",),
+    "aborted_at": ("control/book.py",),
+    "displaced_at": ("control/book.py",),
     # Capacity-kernel query caches (slots of the profile backends; the
     # array internals themselves are GL009's to guard).
     "_peak": ("core/capacity/",),

@@ -46,8 +46,9 @@ _MUTATORS = frozenset(
         "allocate",
         "allocate_segments",
         "release",
-        "release_segments",
+        "release_pair",
         "restore",
+        "restore_pair",
         "degrade",
         "add",
         "add_batch",

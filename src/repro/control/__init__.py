@@ -6,6 +6,8 @@ client-side pacing / access-point drop enforcement.
 :class:`ReservationService` is the stateful client-facing API, hardened
 against mid-flight aborts, port outages, and process crashes
 (:mod:`repro.control.faults`, :mod:`repro.control.journal`).
+:class:`ReservationBook` owns the reservation table and the recovery
+verbs that the service and the sharded gateway share.
 """
 
 from .faults import (
@@ -22,11 +24,13 @@ from .faults import (
     run_fault_drill,
     run_gateway_fault_drill,
 )
+from ..core.booking import RejectReason
+from .book import Reservation, ReservationBook, ReservationState
 from .journal import Journal, JournalEntry
 from .messages import MessageType, ReservationMessage
 from .plane import ControlPlane
 from .router import PortAgent
-from .service import Reservation, ReservationService, ReservationState, RejectReason
+from .service import ReservationService
 from .striped import StripedBooking, book_striped, plan_striped
 from .token_bucket import TokenBucket, enforce_series
 
@@ -46,6 +50,7 @@ __all__ = [
     "PortFault",
     "RejectReason",
     "Reservation",
+    "ReservationBook",
     "ReservationService",
     "ReservationState",
     "ReservationMessage",

@@ -50,8 +50,9 @@ from ..core.request import Request
 from ..schedulers.policies import BandwidthPolicy
 from ..schedulers.retry import BackoffSchedule
 from ..sim.engine import Simulator
+from .book import Reservation
 from .journal import Journal
-from .service import Reservation, ReservationService
+from .service import ReservationService
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import (cycle guard)
     from ..gateway import Gateway

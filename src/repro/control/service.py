@@ -24,6 +24,10 @@ fault-tolerant control plane (see :mod:`repro.control.faults`):
   reservations the remaining capacity can no longer carry, and cancels
   them with a checkpoint of the volume already carried so their residual
   can be rebooked (``volume − carried``);
+- the reservation table and these recovery verbs live in the
+  :class:`~repro.control.book.ReservationBook` the service shares with the
+  sharded gateway; here it runs over the service's one
+  :class:`~repro.core.ledger.PortLedger`;
 - every state-changing operation can be journaled
   (:class:`~repro.control.journal.Journal`) and a crashed service rebuilt
   deterministically via :meth:`replay` — :meth:`snapshot` equality is the
@@ -32,21 +36,18 @@ fault-tolerant control plane (see :mod:`repro.control.faults`):
 
 from __future__ import annotations
 
-import enum
-from dataclasses import dataclass
+from dataclasses import replace
 from typing import TYPE_CHECKING, Any
 
 from ..core.allocation import Allocation, ScheduleResult
 from ..core.booking import (
     FitProbe,
-    RejectReason,
     deadline_tolerance,
     earliest_fit,
     earliest_fit_profile,
     shape_profile,
 )
 from ..core.errors import ConfigurationError, InternalInvariantError, InvalidRequestError
-from ..core.capacity import CAPACITY_SLACK
 from ..core.ledger import Degradation, PortLedger
 from ..core.platform import Platform
 from ..core.profile import RateProfile
@@ -54,97 +55,13 @@ from ..core.request import Request, RequestSet
 from ..metrics.faults import FaultStats
 from ..obs.telemetry import Telemetry, get_telemetry
 from ..schedulers.policies import BandwidthPolicy, MinRatePolicy, policy_from_name
+from .book import Reservation, ReservationBook
 from .journal import Journal
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import (cycle guard)
     from .striped import StripedBooking
 
-__all__ = ["ReservationService", "Reservation", "ReservationState", "RejectReason"]
-
-
-class ReservationState(enum.Enum):
-    """Lifecycle of a reservation."""
-
-    REJECTED = "rejected"
-    CONFIRMED = "confirmed"   # booked, transfer not yet started
-    ACTIVE = "active"         # transfer in progress
-    COMPLETED = "completed"   # transfer window fully elapsed
-    CANCELLED = "cancelled"
-    ABORTED = "aborted"       # transfer failed mid-flight
-    DISPLACED = "displaced"   # cancelled by a port outage/degradation
-
-
-@dataclass
-class Reservation:
-    """A client's handle on one submitted transfer."""
-
-    rid: int
-    request: Request
-    allocation: Allocation | None
-    cancelled_at: float | None = None
-    aborted_at: float | None = None
-    displaced_at: float | None = None
-    #: rid of the reservation this one re-admits or rebooks, if any.
-    origin: int | None = None
-    #: Why admission failed (``None`` on confirmed reservations).
-    reject_reason: RejectReason | None = None
-
-    @property
-    def confirmed(self) -> bool:
-        """Was the reservation admitted?"""
-        return self.allocation is not None
-
-    @property
-    def terminated_at(self) -> float | None:
-        """When the reservation ended early (cancel/abort/displacement)."""
-        for t in (self.cancelled_at, self.aborted_at, self.displaced_at):
-            if t is not None:
-                return t
-        return None
-
-    @property
-    def carried(self) -> float:
-        """MB actually delivered before the transfer ended."""
-        if self.allocation is None:
-            return 0.0
-        stop = self.terminated_at
-        end = self.allocation.tau if stop is None else min(stop, self.allocation.tau)
-        return self.allocation.carried_before(end)
-
-    @property
-    def residual(self) -> float:
-        """MB still undelivered when the reservation ended early."""
-        return max(0.0, self.request.volume - self.carried)
-
-    def state(self, now: float) -> ReservationState:
-        """Lifecycle state as of time ``now``."""
-        if self.allocation is None:
-            return ReservationState.REJECTED
-        if self.aborted_at is not None:
-            return ReservationState.ABORTED
-        if self.displaced_at is not None:
-            return ReservationState.DISPLACED
-        if self.cancelled_at is not None:
-            return ReservationState.CANCELLED
-        if now < self.allocation.sigma:
-            return ReservationState.CONFIRMED
-        if now < self.allocation.tau:
-            return ReservationState.ACTIVE
-        return ReservationState.COMPLETED
-
-
-def _live_allocation(reservation: Reservation) -> Allocation:
-    """The allocation of a reservation known to be confirmed.
-
-    Call sites have already established liveness via
-    :meth:`Reservation.state`; a missing allocation there means the
-    service's bookkeeping is corrupt, not that the caller erred.
-    """
-    if reservation.allocation is None:
-        raise InternalInvariantError(
-            f"reservation {reservation.rid} is live but carries no allocation"
-        )
-    return reservation.allocation
+__all__ = ["ReservationService"]
 
 
 class ReservationService:
@@ -192,13 +109,12 @@ class ReservationService:
         self.malleable = malleable
         self._telemetry = telemetry
         self._ledger = PortLedger(platform)
+        self._book = ReservationBook(self._ledger, platform)
         self._clock = float("-inf")
         self._next_rid = 0
-        self._reservations: dict[int, Reservation] = {}
         self._striped: dict[int, StripedBooking | None] = {}
         self._striped_cancelled: dict[int, float] = {}
         self._backlog: list[int] = []
-        self._degradations: list[Degradation] = []
         self.stats = FaultStats()
         self.journal = journal
         if journal is not None:
@@ -214,11 +130,13 @@ class ReservationService:
             journal.set_header(header)
 
     # ------------------------------------------------------------------
-    def _advance(self, now: float) -> float:
+    def _check_clock(self, now: float) -> None:
         if now < self._clock:
             raise ConfigurationError(f"time went backwards: {now} < {self._clock}")
+
+    def _advance(self, now: float) -> None:
+        self._check_clock(now)
         self._clock = now
-        return now
 
     def _take_rid(self) -> int:
         rid = self._next_rid
@@ -271,22 +189,23 @@ class ReservationService:
         fits nowhere rejects with
         :attr:`~repro.core.booking.RejectReason.PROFILE_INFEASIBLE`.
         """
-        self._advance(now)
+        self._check_clock(now)
         if max_rate is None:
             max_rate = self.platform.bottleneck(ingress, egress)
-        if origin is not None and origin not in self._reservations:
+        if origin is not None and origin not in self._book:
             raise KeyError(f"unknown origin reservation {origin}")
         wanted = RateProfile.maybe_from(profile)
         if wanted is not None and not wanted.conserves(volume):
             raise InvalidRequestError(
                 f"profile delivers {wanted.volume} MB but the submission asks for {volume} MB"
             )
-        rid = self._take_rid()
         # Structural validation (positive volume, non-empty window, reachable
         # deadline) happens in the Request constructor and propagates as
         # InvalidRequestError — a malformed submission, not a rejection.
+        # Every refusal comes before the clock moves or a rid is taken:
+        # nothing is journaled for it, so it must leave no state behind.
         request = Request(
-            rid=rid,
+            rid=self._next_rid,
             ingress=ingress,
             egress=egress,
             volume=volume,
@@ -294,20 +213,17 @@ class ReservationService:
             t_end=deadline,
             max_rate=max_rate,
         )
+        self._advance(now)
+        rid = self._take_rid()
         if wanted is not None:
             allocation, probe = self._book_profile(request, wanted)
         else:
-            allocation, probe = self._book(request)
+            allocation, probe = self._book_constant(request)
             if allocation is None and self.malleable:
                 allocation, probe = self._book_shaped(request, probe)
-        reservation = Reservation(
-            rid=rid,
-            request=request,
-            allocation=allocation,
-            origin=origin,
-            reject_reason=probe.reason,
+        reservation = self._book.add(
+            request, allocation, origin=origin, reject_reason=probe.reason
         )
-        self._reservations[rid] = reservation
         args: dict[str, Any] = {
             "ingress": ingress,
             "egress": egress,
@@ -321,7 +237,7 @@ class ReservationService:
         self._record("submit", now, **args)
         self._observe_submit(reservation, probe, now)
         if origin is not None:
-            parent = self._reservations[origin]
+            parent = self._book.get(origin)
             if parent.displaced_at is not None or parent.aborted_at is not None:
                 self.stats.rebook_attempts += 1
                 if allocation is not None:
@@ -335,7 +251,7 @@ class ReservationService:
                 self._backlog.pop(0)
         return reservation
 
-    def _book(self, request: Request) -> tuple[Allocation | None, FitProbe]:
+    def _book_constant(self, request: Request) -> tuple[Allocation | None, FitProbe]:
         probe = FitProbe()
         allocation = earliest_fit(
             self._ledger, request, lambda sigma: self.policy.assign(request, sigma), probe=probe
@@ -381,9 +297,7 @@ class ReservationService:
         if shaped is None:
             return None, constant_probe
         allocation = Allocation.for_profile(request, shaped)
-        self._ledger.allocate_segments(
-            allocation.ingress, allocation.egress, allocation.segments(), check=False
-        )
+        self._ledger.restore_pair(allocation.ingress, allocation.egress, allocation.segments())
         self._note_port_peaks(allocation)
         return allocation, probe
 
@@ -521,7 +435,7 @@ class ReservationService:
         if rid in self._striped:
             released = self._cancel_striped(rid, now)
         else:
-            released = self._cancel_point(rid, now)
+            released = self._book.cancel(self._book.get(rid), now)
         self._record("cancel", now, rid=rid)
         tel = self.telemetry
         if tel.enabled:
@@ -533,17 +447,6 @@ class ReservationService:
             self._readmit(now)
         return released
 
-    def _cancel_point(self, rid: int, now: float) -> bool:
-        reservation = self._reservations.get(rid)
-        if reservation is None:
-            raise KeyError(f"unknown reservation {rid}")
-        if reservation.state(now) not in (ReservationState.CONFIRMED, ReservationState.ACTIVE):
-            return False
-        alloc = _live_allocation(reservation)
-        self._release_tail(alloc, now)
-        reservation.cancelled_at = now
-        return True
-
     def _cancel_striped(self, base: int, now: float) -> bool:
         booking = self._striped[base]
         if booking is None or base in self._striped_cancelled:
@@ -551,23 +454,9 @@ class ReservationService:
         if now >= booking.finish:
             return False  # already completed
         for alloc in booking.allocations:
-            self._release_tail(alloc, now)
+            self._book.release_tail(alloc, now)
         self._striped_cancelled[base] = now
         return True
-
-    def _release_tail(self, alloc: Allocation, now: float) -> float:
-        """Return the unconsumed part of an allocation; MB released."""
-        release_from = max(now, alloc.sigma)
-        if release_from >= alloc.tau:
-            return 0.0
-        if alloc.profile is None:
-            self._ledger.release(alloc.ingress, alloc.egress, release_from, alloc.tau, alloc.bw)
-            return alloc.bw * (alloc.tau - release_from)
-        tail = alloc.profile.tail_from(release_from)
-        if not tail:
-            return 0.0
-        self._ledger.release_segments(alloc.ingress, alloc.egress, tail.segments)
-        return tail.volume
 
     # ------------------------------------------------------------------
     # Fault handling
@@ -581,14 +470,10 @@ class ReservationService:
         reservation is not live (already completed/terminated/rejected).
         """
         self._advance(now)
-        reservation = self._reservations.get(rid)
-        if reservation is None:
-            raise KeyError(f"unknown reservation {rid}")
-        if reservation.state(now) not in (ReservationState.CONFIRMED, ReservationState.ACTIVE):
+        reservation = self._book.get(rid)
+        freed = self._book.abort(reservation, now)
+        if freed is None:
             return False
-        alloc = _live_allocation(reservation)
-        freed = self._release_tail(alloc, now)
-        reservation.aborted_at = now
         self.stats.aborted += 1
         self.stats.wasted_volume += reservation.carried
         self.stats.freed_volume += freed
@@ -609,27 +494,16 @@ class ReservationService:
     def reshape(self, rid: int, *, now: float) -> bool:
         """Re-shape a live reservation's unconsumed tail (malleable verb).
 
-        The tail ``[max(now, σ), τ)`` returns to the ledger and the still
-        undelivered volume is re-carved as a stepwise profile into the
-        current residual capacity valleys of the same window
-        (:func:`~repro.core.booking.shape_profile`) — stretching into
-        quieter intervals or dropping to whatever bandwidth each interval
-        still has.  The consumed head is preserved exactly, so ``carried``
-        accounting is unchanged.  On failure the original tail is restored
-        and the ledger left exactly as found.
-
-        Journaled as its own ``reshape`` op; :meth:`replay` re-applies it
-        deterministically.  Returns True when the reservation was
+        The book's :meth:`~repro.control.book.ReservationBook.reshape_tail`:
+        the undelivered volume is re-carved into the ledger's residual
+        capacity valleys of the same window; on failure the ledger is left
+        exactly as found.  Journaled as ``reshape``; returns True when
         re-shaped.
         """
         self._advance(now)
-        reservation = self._reservations.get(rid)
-        if reservation is None:
-            raise KeyError(f"unknown reservation {rid}")
-        if reservation.state(now) in (ReservationState.CONFIRMED, ReservationState.ACTIVE):
-            ok = self._reshape_tail(reservation, now)
-        else:
-            ok = False
+        ok = self._book.reshape_tail(self._book.get(rid), now)
+        if ok:
+            self.stats.reshaped += 1
         self._record("reshape", now, rid=rid)
         tel = self.telemetry
         if tel.enabled:
@@ -638,52 +512,6 @@ class ReservationService:
             ).inc(reshaped=str(ok).lower())
             tel.emit("service.reshape", now, rid=rid, reshaped=ok)
         return ok
-
-    def _reshape_tail(self, reservation: Reservation, now: float) -> bool:
-        """Release + re-carve one live tail; restores the ledger on failure."""
-        alloc = _live_allocation(reservation)
-        release_from = max(now, alloc.sigma)
-        if release_from >= alloc.tau:
-            return False
-        if alloc.profile is not None:
-            old_tail = alloc.profile.tail_from(release_from).segments
-        else:
-            old_tail = ((release_from, alloc.tau, alloc.bw),)
-        residual = max(0.0, reservation.request.volume - alloc.carried_before(release_from))
-        if residual <= 0.0 or not old_tail:
-            return False
-        try:
-            target = Request(
-                rid=reservation.rid,
-                ingress=alloc.ingress,
-                egress=alloc.egress,
-                volume=residual,
-                t_start=release_from,
-                t_end=reservation.request.t_end,
-                max_rate=reservation.request.max_rate,
-            )
-        except InvalidRequestError:
-            return False  # residual window no longer structurally valid
-        self._ledger.release_segments(alloc.ingress, alloc.egress, old_tail)
-        shaped = shape_profile(self._ledger, target, not_before=release_from)
-        if shaped is None:
-            # Put the tail back exactly; check=False because it may sit in
-            # an already-overcommitted (degraded) region — that was the
-            # pre-existing state, not ours to reject.
-            self._ledger.allocate_segments(alloc.ingress, alloc.egress, old_tail, check=False)
-            return False
-        if alloc.profile is not None:
-            head = alloc.profile.head_until(release_from)
-        elif release_from > alloc.sigma:
-            head = RateProfile.constant(alloc.sigma, release_from, alloc.bw)
-        else:
-            head = RateProfile(())
-        self._ledger.allocate_segments(
-            alloc.ingress, alloc.egress, shaped.segments, check=False
-        )
-        reservation.allocation = alloc.with_profile(head.concat(shaped))
-        self.stats.reshaped += 1
-        return True
 
     def degrade(
         self,
@@ -699,46 +527,23 @@ class ReservationService:
 
         ``amount`` MB/s of the port's capacity become unavailable over
         ``[start, end)`` (a full outage when ``amount`` reaches the port
-        capacity).  Committed reservations that exceed the remaining
-        capacity are cancelled latest-start-first — the most recently
-        booked work yields to older commitments — with the carried volume
-        checkpointed so callers can rebook the residual (``volume −
-        carried``), typically with backoff via
-        :class:`~repro.control.faults.FaultInjector`.
-
-        Returns the displaced reservations (empty when everything still
-        fits).
+        capacity).  Victims are the book's
+        (:meth:`~repro.control.book.ReservationBook.degrade`); their carried
+        volume is checkpointed so callers can rebook the residual
+        (``volume − carried``), e.g. via
+        :class:`~repro.control.faults.FaultInjector`.  Returns the displaced
+        reservations (empty when everything still fits).
         """
         self._advance(now)
         degradation = Degradation(side=side, port=port, t0=start, t1=end, amount=amount)
-        self._ledger.degrade(degradation)
-        self._degradations.append(degradation)
+        displaced, reshaped_rids, freed = self._book.degrade(
+            degradation, now, reshape=self.malleable
+        )
         self.stats.degradations += 1
-        displaced: list[Reservation] = []
-        reshaped_rids: list[int] = []
-        cap = self.platform.bin(port) if side == "ingress" else self.platform.bout(port)
-        tol = CAPACITY_SLACK * max(1.0, cap)
-        while self._ledger.overcommit_on(side, port, start, end) > tol:
-            victim = self._displacement_victim(side, port, start, end, now)
-            if victim is None:
-                break  # remaining overcommit is not ours to resolve
-            if (
-                self.malleable
-                and victim.rid not in reshaped_rids
-                and self._reshape_tail(victim, now)
-            ):
-                # Malleable recovery: the victim's tail was re-carved around
-                # the degraded window — no displacement needed.  Each rid is
-                # tried once per degradation; a reshaped reservation that
-                # still blocks the port is displaced on the next pass.
-                reshaped_rids.append(victim.rid)
-                continue
-            alloc = _live_allocation(victim)
-            freed = self._release_tail(alloc, now)
-            victim.displaced_at = now
-            self.stats.displaced += 1
-            self.stats.freed_volume += freed
-            displaced.append(victim)
+        self.stats.reshaped += len(reshaped_rids)
+        self.stats.displaced += len(displaced)
+        for mb in freed:
+            self.stats.freed_volume += mb
         self._record(
             "degrade", now, side=side, port=port, amount=amount, start=start, end=end
         )
@@ -765,33 +570,6 @@ class ReservationService:
         self._readmit(now)
         return displaced
 
-    def _displacement_victim(
-        self, side: str, port: int, start: float, end: float, now: float
-    ) -> Reservation | None:
-        """Latest-starting live reservation using the port inside the window."""
-        best: Reservation | None = None
-        for reservation in self._reservations.values():
-            if reservation.state(now) not in (
-                ReservationState.CONFIRMED,
-                ReservationState.ACTIVE,
-            ):
-                continue
-            alloc = _live_allocation(reservation)
-            on_port = alloc.ingress == port if side == "ingress" else alloc.egress == port
-            if not on_port:
-                continue
-            # Only the not-yet-consumed part [max(now, σ), τ) still holds
-            # ledger capacity; it must overlap the degraded window.
-            live_from = max(now, alloc.sigma)
-            if live_from >= end or alloc.tau <= start:
-                continue
-            if best is None or (alloc.sigma, reservation.rid) > (
-                best.allocation.sigma,  # type: ignore[union-attr]
-                best.rid,
-            ):
-                best = reservation
-        return best
-
     def _readmit(self, now: float) -> list[Reservation]:
         """Offer freed capacity to the backlog of rejected requests (FIFO)."""
         admitted: list[Reservation] = []
@@ -799,23 +577,17 @@ class ReservationService:
             return admitted
         keep: list[int] = []
         for rid in self._backlog:
-            original = self._reservations[rid].request
+            original = self._book.get(rid).request
             tol = deadline_tolerance(original.t_end)
             if now + original.min_duration > original.t_end + tol:
                 continue  # deadline unreachable forever: prune
             try:
-                candidate = Request(
-                    rid=self._next_rid,
-                    ingress=original.ingress,
-                    egress=original.egress,
-                    volume=original.volume,
-                    t_start=max(now, original.t_start),
-                    t_end=original.t_end,
-                    max_rate=original.max_rate,
+                candidate = replace(
+                    original, rid=self._next_rid, t_start=max(now, original.t_start)
                 )
             except InvalidRequestError:
                 continue  # clipped window borderline-infeasible: prune
-            allocation, _probe = self._book(candidate)
+            allocation, _probe = self._book_constant(candidate)
             if allocation is None and self.malleable:
                 allocation, _probe = self._book_shaped(candidate, _probe)
             if allocation is None:
@@ -826,10 +598,7 @@ class ReservationService:
                 raise InternalInvariantError(
                     f"re-admission rid drifted: took {new_rid}, booked as {candidate.rid}"
                 )
-            reservation = Reservation(
-                rid=new_rid, request=candidate, allocation=allocation, origin=rid
-            )
-            self._reservations[new_rid] = reservation
+            reservation = self._book.add(candidate, allocation, origin=rid)
             self.stats.readmitted += 1
             self.stats.readmitted_volume += candidate.volume
             admitted.append(reservation)
@@ -857,21 +626,6 @@ class ReservationService:
             ledger["ingress"].append(list(self._ledger.ingress_timeline(i).segments()))
         for e in range(self.platform.num_egress):
             ledger["egress"].append(list(self._ledger.egress_timeline(e).segments()))
-        reservations = []
-        for rid in sorted(self._reservations):
-            r = self._reservations[rid]
-            reservations.append(
-                {
-                    "rid": r.rid,
-                    "request": r.request.to_dict(),
-                    "allocation": r.allocation.to_dict() if r.allocation else None,
-                    "cancelled_at": r.cancelled_at,
-                    "aborted_at": r.aborted_at,
-                    "displaced_at": r.displaced_at,
-                    "origin": r.origin,
-                    "reject_reason": r.reject_reason.value if r.reject_reason else None,
-                }
-            )
         striped = {}
         for base in sorted(self._striped):
             booking = self._striped[base]
@@ -883,10 +637,10 @@ class ReservationService:
         return {
             "clock": self._clock,
             "next_rid": self._next_rid,
-            "reservations": reservations,
+            "reservations": self._book.snapshot_rows(),
             "striped": striped,
             "backlog": list(self._backlog),
-            "degradations": [d.to_dict() for d in self._degradations],
+            "degradations": [d.to_dict() for d in self._book.degradations()],
             "ledger": ledger,
             "stats": self.stats.as_dict(),
         }
@@ -936,12 +690,8 @@ class ReservationService:
                     now=entry.now,
                     max_stream_rate=float(max_stream) if max_stream is not None else None,
                 )
-            elif entry.op == "cancel":
-                service.cancel(int(args["rid"]), now=entry.now)
-            elif entry.op == "abort":
-                service.abort(int(args["rid"]), now=entry.now)
-            elif entry.op == "reshape":
-                service.reshape(int(args["rid"]), now=entry.now)
+            elif entry.op in ("cancel", "abort", "reshape"):
+                getattr(service, entry.op)(int(args["rid"]), now=entry.now)
             elif entry.op == "degrade":
                 service.degrade(
                     side=str(args["side"]),
@@ -958,14 +708,11 @@ class ReservationService:
     # ------------------------------------------------------------------
     def get(self, rid: int) -> Reservation:
         """Look up a reservation by id."""
-        try:
-            return self._reservations[rid]
-        except KeyError:
-            raise KeyError(f"unknown reservation {rid}") from None
+        return self._book.get(rid)
 
     def reservations(self) -> list[Reservation]:
         """All point-to-point reservations, in submission order."""
-        return [self._reservations[rid] for rid in sorted(self._reservations)]
+        return self._book.reservations()
 
     def striped_bookings(self) -> dict[int, StripedBooking | None]:
         """Striped submissions by base rid (``None`` marks a rejected one)."""
@@ -973,7 +720,7 @@ class ReservationService:
 
     def degradations(self) -> list[Degradation]:
         """Every capacity degradation applied so far, in order."""
-        return list(self._degradations)
+        return self._book.degradations()
 
     def accept_rate(self) -> float:
         """Served client submissions over all client submissions.
@@ -982,12 +729,13 @@ class ReservationService:
         confirmed **or** a later re-admission/rebooking linked to it (via
         ``origin``) was.  Striped submissions count like any other.
         """
-        roots = {r.rid for r in self._reservations.values() if r.origin is None}
+        reservations = self._book.reservations()
+        roots = {r.rid for r in reservations if r.origin is None}
         total = len(roots) + len(self._striped)
         if total == 0:
             return 0.0
         served: set[int] = set()
-        for r in self._reservations.values():
+        for r in reservations:
             if r.confirmed:
                 served.add(self._root_of(r.rid))
         striped_ok = sum(1 for b in self._striped.values() if b is not None)
@@ -997,7 +745,7 @@ class ReservationService:
         """Follow ``origin`` links back to the original client submission."""
         seen = set()
         while True:
-            origin = self._reservations[rid].origin
+            origin = self._book.get(rid).origin
             if origin is None or origin in seen:
                 return rid
             seen.add(rid)

@@ -247,9 +247,7 @@ class ScheduleResult:
                     alloc.ingress, alloc.egress, alloc.sigma, alloc.tau, alloc.bw, check=False
                 )
             else:
-                ledger.allocate_segments(
-                    alloc.ingress, alloc.egress, alloc.profile.segments, check=False
-                )
+                ledger.restore_pair(alloc.ingress, alloc.egress, alloc.profile.segments)
         return ledger
 
     # ------------------------------------------------------------------

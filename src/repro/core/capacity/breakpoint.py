@@ -1,6 +1,6 @@
 """The breakpoint-list backend: the library's original implementation.
 
-Moved verbatim from the former ``repro.core.timeline.BandwidthTimeline``
+Moved verbatim from the library's original breakpoint-list timeline class
 (only the internals were renamed to the kernel's canonical
 ``_breakpoints`` / ``_values``), so every decision made through it is
 bit-identical to the pre-kernel code.  O(log n + k) interval updates and

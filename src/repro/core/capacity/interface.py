@@ -23,9 +23,9 @@ decision-for-decision — the backend-equivalence fuzz suite and the
 No module outside ``repro.core.capacity`` may touch a profile's breakpoint
 internals (``_breakpoints`` / ``_values``) or construct a backend class
 directly — gridlint rule GL009 enforces the boundary.  Profiles are built
-via :func:`~repro.core.capacity.backends.make_profile` (or the
-backwards-compatible ``BandwidthTimeline`` alias, which dispatches to the
-configured default backend).
+via :func:`~repro.core.capacity.backends.make_profile` (or
+``CapacityProfile()``, which dispatches to the configured default
+backend).
 """
 
 from __future__ import annotations
@@ -55,9 +55,8 @@ class CapacityProfile:
 
     Instantiating :class:`CapacityProfile` directly returns an instance of
     the configured default backend (see
-    :func:`~repro.core.capacity.backends.set_default_backend`), so the
-    historical ``BandwidthTimeline()`` spelling keeps working.  Subclasses
-    are the backends; they must implement every method below.
+    :func:`~repro.core.capacity.backends.set_default_backend`).
+    Subclasses are the backends; they must implement every method below.
     """
 
     __slots__ = ()

@@ -11,7 +11,7 @@ Schedulers use the ledger in two modes:
 
 - *query* (``fits``): would a constant allocation of ``bw`` on the pair
   ``(ingress, egress)`` over ``[t0, t1)`` stay within both capacities?
-- *mutate* (``allocate`` / ``release``): commit or return bandwidth.
+- *mutate* (``allocate`` / ``release_pair``): commit or return bandwidth.
 
 Capacities may be **time-varying**: :meth:`PortLedger.degrade` registers a
 capacity reduction over an interval (a maintenance window, a partial link
@@ -236,12 +236,23 @@ class PortLedger:
         self._ingress[ingress].add(t0, t1, bw)
         self._egress[egress].add(t0, t1, bw)
 
-    def release(self, ingress: int, egress: int, t0: float, t1: float, bw: float) -> None:
-        """Return ``bw`` previously committed on the pair over ``[t0, t1)``."""
-        if bw < 0:
-            raise CapacityError(f"negative release {bw}")
-        self._ingress[ingress].add(t0, t1, -bw)
-        self._egress[egress].add(t0, t1, -bw)
+    def release_pair(
+        self,
+        ingress: int,
+        egress: int,
+        t0: float,
+        t1: float,
+        bw: float,
+        *,
+        segments: Iterable[tuple[float, float, float]] | None = None,
+    ) -> None:
+        """Return ``bw`` committed on the pair over ``[t0, t1)`` (or the ``segments`` steps)."""
+        steps = ((t0, t1, bw),) if segments is None else segments
+        for s0, s1, rate in steps:
+            if rate < 0:
+                raise CapacityError(f"negative release {rate}")
+            self._ingress[ingress].add(s0, s1, -rate)
+            self._egress[egress].add(s0, s1, -rate)
 
     # ------------------------------------------------------------------
     # Stepwise rate profiles (malleable transfers)
@@ -258,38 +269,37 @@ class PortLedger:
         return all(self.fits(ingress, egress, t0, t1, rate) for t0, t1, rate in segments)
 
     def allocate_segments(
-        self,
-        ingress: int,
-        egress: int,
-        segments: Iterable[tuple[float, float, float]],
-        *,
-        check: bool = True,
+        self, ingress: int, egress: int, segments: Iterable[tuple[float, float, float]]
     ) -> None:
         """Commit a stepwise profile on the pair, all segments or none.
 
-        With ``check=True`` the whole profile is probed first and a
-        :class:`CapacityError` raised (ledger untouched) when any step
-        would overflow either port.
+        The whole profile is probed first and a :class:`CapacityError`
+        raised (ledger untouched) when any step would overflow either port.
         """
         steps = tuple(segments)
-        if check and not self.fits_segments(ingress, egress, steps):
+        if not self.fits_segments(ingress, egress, steps):
             raise CapacityError(
                 f"profile of {len(steps)} segments on pair ({ingress}, {egress}) "
                 f"exceeds a port capacity"
             )
-        for t0, t1, rate in steps:
+        self.restore_pair(ingress, egress, steps)
+
+    def restore_pair(
+        self, ingress: int, egress: int, segments: Iterable[tuple[float, float, float]]
+    ) -> None:
+        """Add a stepwise profile on the pair without a capacity probe.
+
+        For steps that held capacity before (a released tail put back) or
+        fit by construction (a shaped profile, a replayed schedule); the
+        region may legitimately sit overcommitted after a degradation.
+        """
+        for t0, t1, rate in segments:
             self._ingress[ingress].add(t0, t1, rate)
             self._egress[egress].add(t0, t1, rate)
 
-    def release_segments(
-        self, ingress: int, egress: int, segments: Iterable[tuple[float, float, float]]
-    ) -> None:
-        """Return a previously committed stepwise profile on the pair."""
-        for t0, t1, rate in segments:
-            if rate < 0:
-                raise CapacityError(f"negative release {rate}")
-            self._ingress[ingress].add(t0, t1, -rate)
-            self._egress[egress].add(t0, t1, -rate)
+    def pair_view(self, ingress: int, egress: int) -> PortLedger:
+        """The read view of one pair: the whole ledger already answers for it."""
+        return self
 
     # ------------------------------------------------------------------
     def ingress_usage_at(self, i: int, t: float) -> float:

@@ -60,7 +60,7 @@ def max_requests_rigid_bb(problem: ProblemInstance, *, max_nodes: int = 2_000_00
             current.append(request.rid)
             dfs(pos + 1)
             current.pop()
-            ledger.release(
+            ledger.release_pair(
                 request.ingress, request.egress, request.t_start, request.t_end, request.min_rate
             )
         dfs(pos + 1)

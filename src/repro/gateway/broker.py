@@ -303,17 +303,11 @@ class ShardBroker:
         *,
         segments: tuple[tuple[float, float, float], ...] | None = None,
     ) -> None:
-        """Return committed bandwidth on one owned port (cancel/abort path)."""
-        if segments is not None:
-            for s0, s1, rate in segments:
-                if rate < 0:
-                    raise ConfigurationError(f"negative release {rate}")
-                self._timeline_add(side, port, s0, s1, -rate)
-            self.add_work(1.0)
-            return
-        if bw < 0:
-            raise ConfigurationError(f"negative release {bw}")
-        self._timeline_add(side, port, t0, t1, -bw)
+        """Return committed bandwidth (or the ``segments`` steps) on one owned port."""
+        for s0, s1, rate in ((t0, t1, bw),) if segments is None else segments:
+            if rate < 0:
+                raise ConfigurationError(f"negative release {rate}")
+            self._timeline_add(side, port, s0, s1, -rate)
         self.add_work(1.0)
 
     def restore(

@@ -13,6 +13,11 @@ surface — submit / cancel / abort / degrade, with journaling and crash
    shard brokers — shard-local pairs atomically, cross-shard pairs
    through the two-phase prepare/commit protocol.
 
+The reservation table and the recovery verbs (tail release, reshape,
+victim choice on degrade) are not mirrored from the service: both front
+ends call the one :class:`~repro.control.book.ReservationBook`, here over
+the coordinator.
+
 Determinism: the gateway clock only moves forward; a pending batch is
 force-flushed *before* the clock advances (a batch never mixes
 instants), and every externally-triggered state change — submission,
@@ -33,14 +38,14 @@ batch; :attr:`Gateway.simulated_cost` is the accumulated critical path.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any
 
+from ..control.book import Reservation, ReservationBook
 from ..control.journal import Journal
-from ..control.service import Reservation, ReservationState
-from ..core.booking import RejectReason, deadline_tolerance, shape_profile
-from ..core.errors import ConfigurationError, InternalInvariantError, InvalidRequestError
-from ..core.ledger import CAPACITY_SLACK, Degradation
+from ..core.booking import RejectReason, deadline_tolerance
+from ..core.errors import ConfigurationError, InvalidRequestError
+from ..core.ledger import Degradation
 from ..core.platform import Platform
 from ..core.profile import RateProfile
 from ..core.request import Request
@@ -56,7 +61,6 @@ from .rpc import ChaosPolicy
 from .sharding import ShardMap
 from .broker import ShardBroker
 from .twophase import TwoPhaseCoordinator
-from .view import PairLedgerView
 
 __all__ = ["Gateway", "GatewayStats", "Ticket"]
 
@@ -272,9 +276,8 @@ class Gateway:
         self._batch_opened = float("-inf")
         self._next_seq = 0
         self._next_rid = 0
-        self._reservations: dict[int, Reservation] = {}
+        self._book = ReservationBook(self.coordinator, platform)
         self._tickets: dict[int, Ticket] = {}
-        self._degradations: list[Degradation] = []
         #: Accumulated simulated critical-path cost (see module docstring).
         self.simulated_cost = 0.0
         if journal is not None:
@@ -319,10 +322,13 @@ class Gateway:
         """The handle decisions are reported through (instance or process-wide)."""
         return self._telemetry if self._telemetry is not None else get_telemetry()
 
-    def _advance(self, now: float) -> None:
-        """Move the clock forward, flushing the previous instant's batch."""
+    def _check_clock(self, now: float) -> None:
         if now < self._clock:
             raise ConfigurationError(f"time went backwards: {now} < {self._clock}")
+
+    def _advance(self, now: float) -> None:
+        """Move the clock forward, flushing the previous instant's batch."""
+        self._check_clock(now)
         moved = now > self._clock
         if moved and len(self.batcher):
             self._flush(self._clock)
@@ -404,10 +410,10 @@ class Gateway:
         ``(t0, t1, rate)`` segments delivering exactly ``volume`` MB —
         placed as-given or slid later within the window.
         """
-        self._advance(now)
+        self._check_clock(now)
         if max_rate is None:
             max_rate = self.platform.bottleneck(ingress, egress)
-        if origin is not None and origin not in self._reservations:
+        if origin is not None and origin not in self._book:
             raise KeyError(f"unknown origin reservation {origin}")
         wanted = RateProfile.maybe_from(profile)
         if wanted is not None and not wanted.conserves(volume):
@@ -415,13 +421,13 @@ class Gateway:
                 f"profile delivers {wanted.volume} MB but the submission asks for {volume} MB"
             )
         # Structural validation happens in the Request constructor and
-        # propagates as InvalidRequestError (malformed, not rejected) —
-        # nothing is journaled for a submission that never existed, so the
-        # rid is only consumed after construction succeeds (a burned rid
-        # with no journal entry would diverge on replay).
-        rid = self._next_rid
+        # propagates as InvalidRequestError (malformed, not rejected).
+        # Nothing is journaled for a submission that never existed, so
+        # every refusal comes before the clock advances (which flushes,
+        # expires holds and re-admits) or a rid is taken — either would
+        # diverge on replay.
         request = Request(
-            rid=rid,
+            rid=self._next_rid,
             ingress=ingress,
             egress=egress,
             volume=volume,
@@ -429,6 +435,11 @@ class Gateway:
             t_end=deadline,
             max_rate=max_rate,
         )
+        self._advance(now)
+        if request.rid != self._next_rid:
+            # The advance re-admitted backlog entries, which took rids.
+            request = replace(request, rid=self._next_rid)
+        rid = request.rid
         self._next_rid += 1
         seq = self._next_seq
         self._next_seq += 1
@@ -592,14 +603,12 @@ class Gateway:
             profile=ticket.profile,
             malleable=self.malleable,
         )
-        reservation = Reservation(
-            rid=request.rid,
-            request=request,
-            allocation=outcome.allocation,
+        reservation = self._book.add(
+            request,
+            outcome.allocation,
             origin=ticket.origin,
             reject_reason=outcome.probe.reason,
         )
-        self._reservations[request.rid] = reservation
         ticket.reservation = reservation
         if outcome.local:
             self.stats.local += 1
@@ -750,7 +759,7 @@ class Gateway:
         work_before = [broker.work for broker in self.brokers]
         attempted = 0
         for rid in self._backlog:
-            original = self._reservations[rid].request
+            original = self._book.get(rid).request
             tol = deadline_tolerance(original.t_end)
             if now + original.volume / original.max_rate > original.t_end + tol:
                 continue  # deadline unreachable: give the request up
@@ -766,14 +775,8 @@ class Gateway:
             # a stale record (a compensated commit replays as "committed"
             # and books nothing).  Failed attempts therefore leave rid
             # gaps; replay burns them identically.
-            candidate = Request(
-                rid=self._take_rid(),
-                ingress=original.ingress,
-                egress=original.egress,
-                volume=original.volume,
-                t_start=max(now, original.t_start),
-                t_end=original.t_end,
-                max_rate=original.max_rate,
+            candidate = replace(
+                original, rid=self._take_rid(), t_start=max(now, original.t_start)
             )
             attempted += 1
             ctx: TraceContext | None = None
@@ -823,12 +826,7 @@ class Gateway:
             if outcome.allocation is None:
                 keep.append(rid)
                 continue
-            self._reservations[candidate.rid] = Reservation(
-                rid=candidate.rid,
-                request=candidate,
-                allocation=outcome.allocation,
-                origin=rid,
-            )
+            self._book.add(candidate, outcome.allocation, origin=rid)
             self.stats.readmitted += 1
             if self.telemetry.enabled or self.slo is not None:
                 self._note_port_peaks(candidate.ingress, candidate.egress)
@@ -982,14 +980,11 @@ class Gateway:
         """Cancel a reservation; the unconsumed tail returns to its shards."""
         self._advance(now)
         self._flush(self._clock)
-        reservation = self._require_reservation(rid)
+        reservation = self._book.get(rid)
         self._record("gw_cancel", now, rid=rid)
-        released = False
-        if reservation.state(now) in (ReservationState.CONFIRMED, ReservationState.ACTIVE):
-            self._release_tail(reservation, now)
-            reservation.cancelled_at = now
+        released = self._book.cancel(reservation, now)
+        if released:
             self.stats.cancelled += 1
-            released = True
         self._trace_event(
             "gateway",
             now,
@@ -1010,15 +1005,10 @@ class Gateway:
         """A transfer died mid-flight; free its tail on both shards."""
         self._advance(now)
         self._flush(self._clock)
-        reservation = self._require_reservation(rid)
+        reservation = self._book.get(rid)
         self._record("gw_abort", now, rid=rid)
-        if reservation.state(now) not in (
-            ReservationState.CONFIRMED,
-            ReservationState.ACTIVE,
-        ):
+        if self._book.abort(reservation, now) is None:
             return False
-        self._release_tail(reservation, now)
-        reservation.aborted_at = now
         self.stats.aborted += 1
         self._trace_event(
             "gateway", now, "gateway.trace.abort", self._trace_roots.get(rid), rid=rid
@@ -1041,53 +1031,34 @@ class Gateway:
     ) -> list[Reservation]:
         """Apply a capacity reduction on the owning shard; displace overflow.
 
-        Victim selection mirrors the service: latest-starting live
-        reservations on the port yield first, until the shard's slice fits
-        under the remaining capacity again.
+        Victim selection is the reservation book's, shared with the
+        service: latest-starting live reservations on the port yield first,
+        until the shard's slice fits under the remaining capacity again.
         """
         self._advance(now)
         self._flush(self._clock)
         degradation = Degradation(side=side, port=port, t0=start, t1=end, amount=amount)
-        broker = self.coordinator.broker_for(side, port)
-        broker.degrade(degradation)
-        self._degradations.append(degradation)
+        displaced, reshaped_rids, _ = self._book.degrade(
+            degradation, now, reshape=self.malleable
+        )
         self.stats.degradations += 1
+        self.stats.reshaped += len(reshaped_rids)
+        self.stats.displaced += len(displaced)
         self._record(
             "gw_degrade", now, side=side, port=port, amount=amount, start=start, end=end
         )
-        displaced: list[Reservation] = []
-        reshaped_rids: list[int] = []
-        cap = self.platform.bin(port) if side == "ingress" else self.platform.bout(port)
-        tol = CAPACITY_SLACK * max(1.0, cap)
-        while broker.overcommit_on(side, port, start, end) > tol:
-            victim = self._displacement_victim(side, port, start, end, now)
-            if victim is None:
-                break  # remaining overcommit is not ours to resolve
-            if (
-                self.malleable
-                and victim.rid not in reshaped_rids
-                and self._reshape_tail(victim, now)
-            ):
-                # Malleable recovery: the victim's tail was re-carved
-                # around the degraded window — no displacement needed.
-                # Each rid is tried once per degradation; a reshaped
-                # reservation that still blocks the port is displaced on
-                # the next pass.
-                reshaped_rids.append(victim.rid)
-                continue
-            self._release_tail(victim, now)
-            victim.displaced_at = now
-            self.stats.displaced += 1
-            displaced.append(victim)
-        flight_fields: dict[str, Any] = {
+        fields: dict[str, Any] = {
             "side": side,
             "port": port,
             "amount": amount,
+            "start": start,
+            "end": end,
             "displaced": [r.rid for r in displaced],
         }
         if reshaped_rids:
-            flight_fields["reshaped"] = reshaped_rids
-        self._flight("gateway", now, "degrade", **flight_fields)
+            fields["reshaped"] = reshaped_rids
+        flight = {k: v for k, v in fields.items() if k not in ("start", "end")}
+        self._flight("gateway", now, "degrade", **flight)
         tel = self.telemetry
         if tel.enabled:
             tel.metrics.counter(
@@ -1098,36 +1069,23 @@ class Gateway:
                     "gateway_displacements_total",
                     "Reservations displaced by degradations.",
                 ).inc(float(len(displaced)))
-            fields: dict[str, Any] = {
-                "side": side,
-                "port": port,
-                "amount": amount,
-                "start": start,
-                "end": end,
-                "displaced": [r.rid for r in displaced],
-            }
-            if reshaped_rids:
-                fields["reshaped"] = reshaped_rids
             tel.emit("gateway.degrade", now, **fields)
         return displaced
 
     def reshape(self, rid: int, *, now: float) -> bool:
         """Re-shape a live reservation's unconsumed tail (malleable verb).
 
-        Mirrors :meth:`~repro.control.service.ReservationService.reshape`:
-        the tail ``[max(now, σ), τ)`` returns to its shards and the still
-        undelivered volume is re-carved into the pair's residual capacity
-        valleys.  On failure the original tail is restored exactly.
-        Journaled as ``gw_reshape``; returns True when re-shaped.
+        The book's :meth:`~repro.control.book.ReservationBook.reshape_tail`,
+        as on the service.  Journaled as ``gw_reshape``; returns True when
+        re-shaped.
         """
         self._advance(now)
         self._flush(self._clock)
-        reservation = self._require_reservation(rid)
+        reservation = self._book.get(rid)
         self._record("gw_reshape", now, rid=rid)
-        if reservation.state(now) in (ReservationState.CONFIRMED, ReservationState.ACTIVE):
-            ok = self._reshape_tail(reservation, now)
-        else:
-            ok = False
+        ok = self._book.reshape_tail(reservation, now)
+        if ok:
+            self.stats.reshaped += 1
         self._trace_event(
             "gateway",
             now,
@@ -1143,120 +1101,6 @@ class Gateway:
             ).inc(reshaped=str(ok).lower())
             tel.emit("gateway.reshape", now, rid=rid, reshaped=ok)
         return ok
-
-    def _reshape_tail(self, reservation: Reservation, now: float) -> bool:
-        """Release + re-carve one live tail; restores the shards on failure."""
-        alloc = reservation.allocation
-        if alloc is None:
-            raise InternalInvariantError(
-                f"reservation {reservation.rid} is live but carries no allocation"
-            )
-        release_from = max(now, alloc.sigma)
-        if release_from >= alloc.tau:
-            return False
-        if alloc.profile is not None:
-            old_tail = alloc.profile.tail_from(release_from).segments
-        else:
-            old_tail = ((release_from, alloc.tau, alloc.bw),)
-        residual = max(0.0, reservation.request.volume - alloc.carried_before(release_from))
-        if residual <= 0.0 or not old_tail:
-            return False
-        try:
-            target = Request(
-                rid=reservation.rid,
-                ingress=alloc.ingress,
-                egress=alloc.egress,
-                volume=residual,
-                t_start=release_from,
-                t_end=reservation.request.t_end,
-                max_rate=reservation.request.max_rate,
-            )
-        except InvalidRequestError:
-            return False  # residual window no longer structurally valid
-        self.coordinator.release_pair(
-            alloc.ingress, alloc.egress, release_from, alloc.tau, alloc.bw,
-            segments=old_tail,
-        )
-        view = PairLedgerView(
-            self.coordinator.broker_for("ingress", alloc.ingress),
-            self.coordinator.broker_for("egress", alloc.egress),
-            alloc.ingress,
-            alloc.egress,
-        )
-        shaped = shape_profile(view, target, not_before=release_from)
-        if shaped is None:
-            # Put the tail back exactly; unchecked because the region may
-            # sit in an already-overcommitted (degraded) state — that was
-            # the pre-existing condition, not ours to reject.
-            self.coordinator.restore_pair(alloc.ingress, alloc.egress, old_tail)
-            return False
-        if alloc.profile is not None:
-            head = alloc.profile.head_until(release_from)
-        elif release_from > alloc.sigma:
-            head = RateProfile.constant(alloc.sigma, release_from, alloc.bw)
-        else:
-            head = RateProfile(())
-        self.coordinator.restore_pair(alloc.ingress, alloc.egress, shaped.segments)
-        reservation.allocation = alloc.with_profile(head.concat(shaped))
-        self.stats.reshaped += 1
-        return True
-
-    def _displacement_victim(
-        self, side: str, port: int, start: float, end: float, now: float
-    ) -> Reservation | None:
-        """Latest-starting live reservation using the port inside the window."""
-        best: Reservation | None = None
-        for reservation in self._reservations.values():
-            if reservation.state(now) not in (
-                ReservationState.CONFIRMED,
-                ReservationState.ACTIVE,
-            ):
-                continue
-            alloc = reservation.allocation
-            if alloc is None:
-                continue
-            on_port = alloc.ingress == port if side == "ingress" else alloc.egress == port
-            if not on_port:
-                continue
-            live_from = max(now, alloc.sigma)
-            if live_from >= end or alloc.tau <= start:
-                continue
-            if best is None or best.allocation is None or (
-                alloc.sigma,
-                reservation.rid,
-            ) > (best.allocation.sigma, best.rid):
-                best = reservation
-        return best
-
-    def _release_tail(self, reservation: Reservation, now: float) -> float:
-        """Return the unconsumed part of a live allocation to its shards."""
-        alloc = reservation.allocation
-        if alloc is None:
-            raise InternalInvariantError(
-                f"reservation {reservation.rid} is live but carries no allocation"
-            )
-        release_from = max(now, alloc.sigma)
-        if release_from >= alloc.tau:
-            return 0.0
-        if alloc.profile is not None:
-            tail = alloc.profile.tail_from(release_from)
-            if not tail:
-                return 0.0
-            self.coordinator.release_pair(
-                alloc.ingress, alloc.egress, release_from, alloc.tau, alloc.bw,
-                segments=tail.segments,
-            )
-            return tail.volume
-        self.coordinator.release_pair(
-            alloc.ingress, alloc.egress, release_from, alloc.tau, alloc.bw
-        )
-        return alloc.bw * (alloc.tau - release_from)
-
-    def _require_reservation(self, rid: int) -> Reservation:
-        reservation = self._reservations.get(rid)
-        if reservation is None:
-            raise KeyError(f"unknown reservation {rid}")
-        return reservation
 
     # ------------------------------------------------------------------
     # Broker faults
@@ -1313,7 +1157,7 @@ class Gateway:
 
     def reservations(self) -> list[Reservation]:
         """All decided reservations, in submission order."""
-        return [self._reservations[rid] for rid in sorted(self._reservations)]
+        return self._book.reservations()
 
     def pending(self) -> int:
         """Submissions waiting in the open batch."""
@@ -1321,7 +1165,7 @@ class Gateway:
 
     def degradations(self) -> list[Degradation]:
         """Every capacity degradation applied so far, in order."""
-        return list(self._degradations)
+        return self._book.degradations()
 
     def max_overcommit(self) -> float:
         """Worst ``usage − capacity`` across every shard (≤ 0 ⇔ valid)."""
@@ -1364,32 +1208,17 @@ class Gateway:
         Two gateways are state-identical iff their snapshots compare
         equal; the replay tests rely on this.
         """
-        reservations = []
-        for rid in sorted(self._reservations):
-            r = self._reservations[rid]
-            reservations.append(
-                {
-                    "rid": r.rid,
-                    "request": r.request.to_dict(),
-                    "allocation": r.allocation.to_dict() if r.allocation else None,
-                    "cancelled_at": r.cancelled_at,
-                    "aborted_at": r.aborted_at,
-                    "displaced_at": r.displaced_at,
-                    "origin": r.origin,
-                    "reject_reason": r.reject_reason.value if r.reject_reason else None,
-                }
-            )
         return {
             "clock": self._clock,
             "next_rid": self._next_rid,
             "pending": [p.seq for p in self.batcher._pending],
-            "reservations": reservations,
+            "reservations": self._book.snapshot_rows(),
             "edge_refused": sorted(
                 rid for rid, t in self._tickets.items() if t.edge_refused
             ),
             "backlog": list(self._backlog),
             "shards": [broker.snapshot() for broker in self.brokers],
-            "degradations": [d.to_dict() for d in self._degradations],
+            "degradations": [d.to_dict() for d in self._book.degradations()],
             "stats": self.stats.as_dict(),
         }
 
@@ -1450,10 +1279,8 @@ class Gateway:
                 )
             elif entry.op == "gw_drain":
                 gateway.drain(entry.now)
-            elif entry.op == "gw_cancel":
-                gateway.cancel(int(args["rid"]), now=entry.now)
-            elif entry.op == "gw_abort":
-                gateway.abort(int(args["rid"]), now=entry.now)
+            elif entry.op in ("gw_cancel", "gw_abort", "gw_reshape"):
+                getattr(gateway, entry.op[3:])(int(args["rid"]), now=entry.now)
             elif entry.op == "gw_degrade":
                 gateway.degrade(
                     side=str(args["side"]),
@@ -1463,8 +1290,6 @@ class Gateway:
                     end=float(args["end"]),
                     now=entry.now,
                 )
-            elif entry.op == "gw_reshape":
-                gateway.reshape(int(args["rid"]), now=entry.now)
             elif entry.op == "gw_crash":
                 gateway.crash_broker(int(args["shard"]), now=entry.now)
             elif entry.op == "gw_restart":

@@ -60,6 +60,7 @@ from ..core.booking import (
     shape_profile,
 )
 from ..core.errors import ConfigurationError, InternalInvariantError
+from ..core.ledger import Degradation
 from ..core.capacity import fits_under
 from ..core.profile import RateProfile
 from ..core.request import Request
@@ -146,6 +147,20 @@ class TwoPhaseCoordinator:
         """The channel to the broker owning ``port`` on ``side``."""
         return self.channels[self.shard_map.shard_of(side, port)]
 
+    def pair_view(self, ingress: int, egress: int) -> PairLedgerView:
+        """The read view stitching the two owning brokers of one pair."""
+        return PairLedgerView(
+            self.broker_for("ingress", ingress), self.broker_for("egress", egress), ingress, egress
+        )
+
+    def overcommit_on(self, side: str, port: int, t0: float, t1: float) -> float:
+        """Worst ``usage − capacity`` on one port over ``[t0, t1)``, from its owner."""
+        return self.broker_for(side, port).overcommit_on(side, port, t0, t1)
+
+    def degrade(self, degradation: Degradation) -> None:
+        """Register a capacity reduction on the broker owning the port."""
+        self.broker_for(degradation.side, degradation.port).degrade(degradation)
+
     def reserve(
         self,
         request: Request,
@@ -178,9 +193,7 @@ class TwoPhaseCoordinator:
         outcome.local = ingress_broker is egress_broker
 
         if profile is not None:
-            view = PairLedgerView(
-                ingress_broker, egress_broker, request.ingress, request.egress
-            )
+            view = self.pair_view(request.ingress, request.egress)
             allocation = earliest_fit_profile(
                 view, request, profile, not_before=request.t_start, probe=probe
             )
@@ -198,9 +211,7 @@ class TwoPhaseCoordinator:
                 if probe.reason is not None:
                     # The fast path already proved the window infeasible.
                     return outcome
-                view = PairLedgerView(
-                    ingress_broker, egress_broker, request.ingress, request.egress
-                )
+                view = self.pair_view(request.ingress, request.egress)
                 allocation = earliest_fit(view, request, rate_for, probe=probe)
                 ingress_broker.add_work(float(max(1, probe.candidates)))
                 egress_broker.add_work(float(max(1, probe.candidates)))

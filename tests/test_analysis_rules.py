@@ -213,9 +213,20 @@ class TestGL004LedgerEncapsulation:
         report = _scan(
             tmp_path,
             "def cancel(reservation, now):\n    reservation.cancelled_at = now\n",
-            filename="control/service.py",
+            filename="control/book.py",
         )
         assert _active(report, "GL004") == []
+
+    def test_front_ends_may_not_stamp(self, tmp_path):
+        # The reservation book alone sets lifecycle stamps; the service
+        # and the gateway go through its cancel/abort/degrade verbs.
+        for front_end in ("control/service.py", "gateway/gateway.py"):
+            report = _scan(
+                tmp_path / front_end.replace("/", "_"),
+                "def cancel(reservation, now):\n    reservation.cancelled_at = now\n",
+                filename=front_end,
+            )
+            assert len(_active(report, "GL004")) == 1
 
     def test_fires_on_foreign_profile_segment_write(self, tmp_path):
         report = _scan(
@@ -452,8 +463,8 @@ class TestGL008ShardLedgerOwnership:
             """\
             def f(broker, segs):
                 broker._owned_ledger.allocate_segments(0, 0, segs)
-                broker._owned_ledger.release_segments(0, 0, segs)
-                broker._owned_ledger.restore("ingress", 0, segs)
+                broker._owned_ledger.release_pair(0, 0, 0.0, 1.0, 5.0, segments=segs)
+                broker._owned_ledger.restore_pair(0, 0, segs)
             """,
             filename="schedulers/hack.py",
         )

@@ -25,7 +25,6 @@ from repro.core.capacity import (
     use_backend,
 )
 from repro.core.errors import ConfigurationError
-from repro.core.timeline import BandwidthTimeline
 
 BACKENDS = available_backends()
 
@@ -70,7 +69,7 @@ class TestBackendRegistry:
         assert get_default_backend() == "breakpoint"
         with use_backend("vector"):
             assert get_default_backend() == "vector"
-            assert isinstance(BandwidthTimeline(), VectorProfile)
+            assert isinstance(CapacityProfile(), VectorProfile)
         assert get_default_backend() == "breakpoint"
 
     def test_use_backend_restores_on_error(self):
@@ -91,15 +90,14 @@ class TestBackendRegistry:
             get_default_backend()
         monkeypatch.setattr(backends, "_default_backend", "breakpoint")
 
-    def test_bandwidth_timeline_alias_dispatches(self):
-        tl = BandwidthTimeline()
+    def test_capacity_profile_constructor_dispatches(self):
+        tl = CapacityProfile()
         assert isinstance(tl, CapacityProfile)
-        assert isinstance(tl, BandwidthTimeline)
         assert tl.backend_name == get_default_backend()
 
     def test_isinstance_holds_for_every_backend(self):
         for name in BACKENDS:
-            assert isinstance(make_profile(name), BandwidthTimeline)
+            assert isinstance(make_profile(name), CapacityProfile)
 
 
 class TestProfileContract:
@@ -292,7 +290,7 @@ class TestPortLedgerAcrossBackends:
         """Stepwise (multi-segment) bookings decide identically too.
 
         Fuzzed ``fits_segments`` / ``allocate_segments`` /
-        ``release_segments`` streams drawn from binary fractions, so
+        ``release_pair(segments=...)`` streams drawn from binary fractions, so
         float arithmetic is exact and the traces compare with ``==``.
         """
         import random
@@ -323,7 +321,11 @@ class TestPortLedgerAcrossBackends:
                     else:
                         outcome.append((k, False))
                     if live and rng.random() < 0.3:
-                        ledger.release_segments(*live.pop(rng.randrange(len(live))))
+                        i, e, segments = live.pop(rng.randrange(len(live)))
+                        ledger.release_pair(
+                            i, e, segments[0][0], segments[-1][1], segments[0][2],
+                            segments=segments,
+                        )
                 sample_ts = [t * 0.25 for t in range(0, 200, 3)]
                 usage = [
                     (ledger.ingress_usage_at(p, t), ledger.egress_usage_at(p, t))

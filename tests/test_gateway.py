@@ -4,7 +4,7 @@ import pytest
 
 from repro.control import BrokerCrash, PortFault, run_gateway_fault_drill
 from repro.control.journal import Journal
-from repro.core.errors import ConfigurationError, InternalInvariantError
+from repro.core.errors import ConfigurationError, InternalInvariantError, InvalidRequestError
 from repro.core.ledger import Degradation
 from repro.core.platform import Platform
 from repro.core.request import Request
@@ -398,6 +398,24 @@ class TestJournalReplay:
         assert gw.stats.edge_refused >= 1  # the limiter did shape the run
         rebuilt = Gateway.replay(journal)
         assert rebuilt.snapshot() == gw.snapshot()
+
+    def test_malformed_submit_leaves_no_state(self):
+        # Nothing is journaled for a submission that raises, so it must not
+        # advance the clock (which flushes the open batch, expires holds and
+        # re-admits) or take a rid: live and replayed state would split.
+        journal = Journal()
+        gw = Gateway(platform(), num_shards=2, batch_size=4, journal=journal)
+        gw.submit(ingress=0, egress=1, volume=800.0, deadline=60.0, now=0.0)
+        before = gw.snapshot()
+        with pytest.raises(InvalidRequestError):
+            gw.submit(ingress=0, egress=1, volume=-5.0, deadline=60.0, now=7.0)
+        assert gw.snapshot() == before
+        with pytest.raises(ConfigurationError):  # the clock check still comes first
+            gw.submit(ingress=0, egress=1, volume=-5.0, deadline=60.0, now=-1.0)
+        ticket = gw.submit(ingress=1, egress=2, volume=400.0, deadline=80.0, now=9.0)
+        assert ticket.rid == 1
+        gw.drain(9.0)
+        assert Gateway.replay(journal).snapshot() == gw.snapshot()
 
     def test_replay_requires_gateway_journal(self):
         journal = Journal()

@@ -83,10 +83,16 @@ def workload(seed, n=80, horizon=400.0):
     return ops
 
 
-def run_pair(seed):
-    """Drive the same op stream through both front-ends; compare as we go."""
-    service = ReservationService(Platform.uniform(PORTS, PORTS, CAP))
-    gateway = Gateway(Platform.uniform(PORTS, PORTS, CAP), num_shards=1, batch_size=1)
+def run_pair(seed, malleable=False):
+    """Drive the same op stream through both front-ends; compare as we go.
+
+    ``malleable=True`` runs both in malleable mode, so degradations
+    reshape victims' tails before displacing them.
+    """
+    service = ReservationService(Platform.uniform(PORTS, PORTS, CAP), malleable=malleable)
+    gateway = Gateway(
+        Platform.uniform(PORTS, PORTS, CAP), num_shards=1, batch_size=1, malleable=malleable
+    )
     reasons = set()
     decisions = 0
     for kind, args in workload(seed):
@@ -135,6 +141,12 @@ def run_pair(seed):
             assert outs_g[port] == pytest.approx(
                 service.port_usage(float(t))[1][port], abs=1e-6
             )
+    # The reservation tables themselves agree row for row: allocations
+    # (reshaped profiles included), lifecycle stamps and reject reasons.
+    assert service.snapshot()["reservations"] == gateway.snapshot()["reservations"]
+    assert gateway.stats.reshaped == service.stats.reshaped
+    if malleable:
+        assert service.stats.reshaped > 0, f"seed {seed}: no victim was reshaped"
     return decisions, reasons
 
 
@@ -144,6 +156,11 @@ class TestSingleShardEquivalence:
     @pytest.mark.parametrize("seed", SEEDS)
     def test_decision_for_decision(self, seed):
         decisions, _ = run_pair(seed)
+        assert decisions >= 40
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_decision_for_decision_malleable(self, seed):
+        decisions, _ = run_pair(seed, malleable=True)
         assert decisions >= 40
 
     def test_workloads_exercise_accepts_and_reject_reasons(self):

@@ -6,7 +6,7 @@ import pytest
 
 from repro.control import Journal, JournalEntry, ReservationService
 from repro.control.journal import JOURNAL_FORMAT
-from repro.core import ConfigurationError, Platform
+from repro.core import ConfigurationError, InvalidRequestError, Platform
 from repro.schedulers import FractionOfMaxPolicy
 
 
@@ -99,6 +99,22 @@ class TestReplay:
         assert rebuilt.snapshot() == service.snapshot()
         assert rebuilt.policy.name == service.policy.name
         assert rebuilt.backlog_limit == 4
+
+    def test_malformed_submit_leaves_no_state(self, platform):
+        # Nothing is journaled for a submission that raises, so it must not
+        # move the clock or take a rid: live and replayed state would split.
+        journal = Journal()
+        service = ReservationService(platform, journal=journal)
+        service.submit(ingress=0, egress=1, volume=5000.0, deadline=100.0, now=0.0)
+        before = service.snapshot()
+        with pytest.raises(InvalidRequestError):
+            service.submit(ingress=0, egress=1, volume=-5.0, deadline=100.0, now=7.0)
+        assert service.snapshot() == before
+        with pytest.raises(ConfigurationError):  # the clock check still comes first
+            service.submit(ingress=0, egress=1, volume=-5.0, deadline=100.0, now=-1.0)
+        after = service.submit(ingress=1, egress=0, volume=3000.0, deadline=80.0, now=9.0)
+        assert after.rid == 1
+        assert ReservationService.replay(journal).snapshot() == service.snapshot()
 
     def test_replay_from_disk_after_crash(self, platform, tmp_path):
         path = tmp_path / "wal.jsonl"

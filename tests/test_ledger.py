@@ -42,11 +42,11 @@ class TestFitsAllocate:
         with pytest.raises(CapacityError):
             ledger.allocate(0, 0, 0.0, 1.0, -1.0)
         with pytest.raises(CapacityError):
-            ledger.release(0, 0, 0.0, 1.0, -1.0)
+            ledger.release_pair(0, 0, 0.0, 1.0, -1.0)
 
     def test_release(self, ledger):
         ledger.allocate(0, 0, 0.0, 10.0, 60.0)
-        ledger.release(0, 0, 0.0, 10.0, 60.0)
+        ledger.release_pair(0, 0, 0.0, 10.0, 60.0)
         assert ledger.is_empty()
 
     def test_exact_fit_allowed(self, ledger):

@@ -274,11 +274,14 @@ class TestReserveReleaseRestores:
                 before = _usage_samples(ledger, platform, instants)
                 profile = _fuzzed_profile(rng)
                 i, e = rng.randrange(3), rng.randrange(3)
-                ledger.allocate_segments(i, e, profile.segments, check=False)
+                ledger.restore_pair(i, e, profile.segments)
                 # the reservation is visible while held...
                 mid = profile.segments[0]
                 assert ledger.ingress_usage_at(i, mid[0]) >= mid[2]
-                ledger.release_segments(i, e, profile.segments)
+                first, last = profile.segments[0], profile.segments[-1]
+                ledger.release_pair(
+                    i, e, first[0], last[1], first[2], segments=profile.segments
+                )
                 # ...and release restores every port exactly.
                 assert _usage_samples(ledger, platform, instants) == before
 

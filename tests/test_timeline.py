@@ -1,22 +1,22 @@
-"""Tests for BandwidthTimeline, including hypothesis property tests."""
+"""Tests for the default-backend CapacityProfile, including hypothesis property tests."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import BandwidthTimeline
+from repro.core import CapacityProfile
 
 
 class TestBasics:
     def test_starts_zero(self):
-        tl = BandwidthTimeline()
+        tl = CapacityProfile()
         assert tl.usage_at(0.0) == 0.0
         assert tl.usage_at(-1e9) == 0.0
         assert tl.is_zero()
 
     def test_single_add(self):
-        tl = BandwidthTimeline()
+        tl = CapacityProfile()
         tl.add(10.0, 20.0, 5.0)
         assert tl.usage_at(9.999) == 0.0
         assert tl.usage_at(10.0) == 5.0
@@ -24,7 +24,7 @@ class TestBasics:
         assert tl.usage_at(20.0) == 0.0  # half-open interval
 
     def test_overlapping_adds(self):
-        tl = BandwidthTimeline()
+        tl = CapacityProfile()
         tl.add(0.0, 10.0, 3.0)
         tl.add(5.0, 15.0, 4.0)
         assert tl.usage_at(2.0) == 3.0
@@ -32,25 +32,25 @@ class TestBasics:
         assert tl.usage_at(12.0) == 4.0
 
     def test_release_restores(self):
-        tl = BandwidthTimeline()
+        tl = CapacityProfile()
         tl.add(0.0, 10.0, 3.0)
         tl.add(0.0, 10.0, -3.0)
         assert tl.is_zero()
 
     def test_empty_interval_rejected(self):
-        tl = BandwidthTimeline()
+        tl = CapacityProfile()
         with pytest.raises(ValueError):
             tl.add(5.0, 5.0, 1.0)
         with pytest.raises(ValueError):
             tl.add(5.0, 4.0, 1.0)
 
     def test_zero_delta_noop(self):
-        tl = BandwidthTimeline()
+        tl = CapacityProfile()
         tl.add(0.0, 10.0, 0.0)
         assert tl.num_segments == 1
 
     def test_clear(self):
-        tl = BandwidthTimeline()
+        tl = CapacityProfile()
         tl.add(0.0, 5.0, 2.0)
         tl.clear()
         assert tl.is_zero()
@@ -58,7 +58,7 @@ class TestBasics:
 
 class TestQueries:
     def _tl(self):
-        tl = BandwidthTimeline()
+        tl = CapacityProfile()
         tl.add(0.0, 10.0, 2.0)
         tl.add(5.0, 20.0, 3.0)
         return tl  # usage: [0,5)=2, [5,10)=5, [10,20)=3
@@ -105,21 +105,21 @@ class TestQueries:
 
 class TestCoalescing:
     def test_adjacent_equal_segments_merge(self):
-        tl = BandwidthTimeline()
+        tl = CapacityProfile()
         tl.add(0.0, 10.0, 2.0)
         tl.add(10.0, 20.0, 2.0)
         # one finite segment [0, 20) at 2.0 -> breakpoints {0, 20}
         assert list(tl.breakpoints()) == [0.0, 20.0]
 
     def test_release_merges_back(self):
-        tl = BandwidthTimeline()
+        tl = CapacityProfile()
         tl.add(0.0, 30.0, 5.0)
         tl.add(10.0, 20.0, 1.0)
         tl.add(10.0, 20.0, -1.0)
         assert list(tl.breakpoints()) == [0.0, 30.0]
 
     def test_segment_count_stays_bounded(self):
-        tl = BandwidthTimeline()
+        tl = CapacityProfile()
         for i in range(100):
             tl.add(float(i), float(i + 1), 1.0)
         # all segments equal -> coalesced into one
@@ -141,7 +141,7 @@ interval_strategy = st.tuples(
 @given(st.lists(interval_strategy, min_size=1, max_size=30))
 def test_timeline_matches_bruteforce(intervals):
     """Timeline agrees with a dense numpy reference on usage and integral."""
-    tl = BandwidthTimeline()
+    tl = CapacityProfile()
     for start, length, bw in intervals:
         tl.add(start, start + length, bw)
 
@@ -168,7 +168,7 @@ def test_timeline_matches_bruteforce(intervals):
 @given(st.lists(interval_strategy, min_size=1, max_size=20))
 def test_add_then_release_returns_to_zero(intervals):
     """Releasing every allocation leaves the identically-zero function."""
-    tl = BandwidthTimeline()
+    tl = CapacityProfile()
     for start, length, bw in intervals:
         tl.add(start, start + length, bw)
     for start, length, bw in intervals:
@@ -181,7 +181,7 @@ def test_add_then_release_returns_to_zero(intervals):
 @given(st.lists(interval_strategy, min_size=1, max_size=25))
 def test_coalescing_never_changes_semantics(intervals):
     """num_segments stays small when all values collapse to equal levels."""
-    tl = BandwidthTimeline()
+    tl = CapacityProfile()
     for start, length, _ in intervals:
         tl.add(start, start + length, 1.0)
         tl.add(start, start + length, -1.0)
