@@ -15,10 +15,11 @@ context) must make byte-identical admission decisions to the same run
 under :class:`~repro.obs.telemetry.NullTelemetry` and stay within 5% of
 its simulated-cost throughput — the same currency ``bench_chaos``
 gates the disabled chaos plane in.  Tracing observes, it never rides
-the simulated critical path.  Wall-clock times for both runs are
-recorded alongside (not gated: recording thousands of spans in pure
-Python costs real wall time by design; the artifact keeps the trend
-visible).
+the simulated critical path.  It also has to stay cheap in wall time:
+the traced run's best-of-repeats wall time may be at most
+``MAX_TRACED_OVER_NULL_WALL`` times the null run's.  That bound was set
+from measurements of the O(1) ring / hop-tuple recording path with
+headroom for host noise, and is only ever tightened.
 
 Timing uses the injectable :class:`~repro.obs.perfclock.WallClock` — the
 only sanctioned wall-clock source — with a min-of-repeats protocol so a
@@ -47,8 +48,14 @@ from conftest import RESULTS_DIR
 MAX_NULL_OVERHEAD = 1.05
 #: Allowed simulated-cost overhead of the fully traced gateway.
 MAX_TRACING_OVERHEAD = 0.05
+#: Allowed traced/null wall-time ratio of the same gateway run (best of
+#: TRACING_REPEATS alternating runs each).  Measured 1.29-1.74, median
+#: 1.45, over fifteen runs on a 2-CPU host (the artifact before recording
+#: went O(1) per hop read 1.84); set ~24% above the median, clear of the
+#: worst run.  Never loosen it.
+MAX_TRACED_OVER_NULL_WALL = 1.8
 REPEATS = 15
-TRACING_REPEATS = 5
+TRACING_REPEATS = 9
 
 
 # ----------------------------------------------------------------------
@@ -235,10 +242,14 @@ def test_traced_gateway_overhead_under_5_percent():
     # gates the chaos plane in — bench_gateway's throughput metric).
     overhead = 1.0 - traced_gw.throughput() / null_gw.throughput()
 
+    # Null and traced runs alternate, so a stretch of slow host hits both
+    # sides of the ratio instead of one.
     run_gateway(NullTelemetry())  # warm-up
-    null_time = _time_min(clock, lambda: run_gateway(NullTelemetry()), TRACING_REPEATS)
     run_gateway(Telemetry())  # warm-up
-    traced_time = _time_min(clock, lambda: run_gateway(Telemetry()), TRACING_REPEATS)
+    null_time = traced_time = float("inf")
+    for _ in range(TRACING_REPEATS):
+        null_time = min(null_time, _time_min(clock, lambda: run_gateway(NullTelemetry()), 1))
+        traced_time = min(traced_time, _time_min(clock, lambda: run_gateway(Telemetry()), 1))
 
     _merge_results(
         "tracing",
@@ -252,6 +263,7 @@ def test_traced_gateway_overhead_under_5_percent():
             "null_wall_seconds": null_time,
             "traced_wall_seconds": traced_time,
             "traced_over_null_wall": traced_time / null_time,
+            "max_traced_over_null_wall": MAX_TRACED_OVER_NULL_WALL,
         },
     )
 
@@ -259,4 +271,9 @@ def test_traced_gateway_overhead_under_5_percent():
         f"traced gateway loses {overhead * 100:.2f}% simulated throughput "
         f"(gate: <= {MAX_TRACING_OVERHEAD * 100:.0f}%); tracing must stay off "
         f"the simulated critical path"
+    )
+    assert traced_time / null_time <= MAX_TRACED_OVER_NULL_WALL, (
+        f"traced gateway takes {traced_time / null_time:.2f}x the null run's wall time "
+        f"(gate: <= {MAX_TRACED_OVER_NULL_WALL}x); null={null_time:.6f}s "
+        f"traced={traced_time:.6f}s"
     )

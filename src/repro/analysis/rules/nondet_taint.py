@@ -56,12 +56,13 @@ def _sink_name(call: ast.Call) -> str | None:
         receiver = terminal_name(func.value)
         if receiver in ("journal", "_journal"):
             return "journal.append"
-    if isinstance(func, ast.Attribute) and func.attr == "record":
-        # Flight-recorder rows feed post-mortem dumps that must be
-        # byte-identical across reruns of one seeded drill.
+    if isinstance(func, ast.Attribute) and func.attr in ("record", "hop"):
+        # Flight-recorder rows (eager records and causal hops alike) feed
+        # post-mortem dumps that must be byte-identical across reruns of
+        # one seeded drill.
         receiver = terminal_name(func.value)
         if receiver in ("recorder", "_recorder", "flight_recorder"):
-            return "recorder.record"
+            return f"recorder.{func.attr}"
     name = terminal_name(func)
     if name == "_record":
         return "_record"

@@ -431,11 +431,14 @@ class ReservationService:
         reservation, or a live striped booking addressed by its base rid);
         False for rejected/completed/already-terminated ones.
         """
+        # Clock, then rid, then advance: a refused op moves nothing.
+        self._check_clock(now)
+        reservation = None if rid in self._striped else self._book.get(rid)
         self._advance(now)
-        if rid in self._striped:
+        if reservation is None:
             released = self._cancel_striped(rid, now)
         else:
-            released = self._book.cancel(self._book.get(rid), now)
+            released = self._book.cancel(reservation, now)
         self._record("cancel", now, rid=rid)
         tel = self.telemetry
         if tel.enabled:
@@ -467,17 +470,19 @@ class ReservationService:
         The volume carried so far is wasted (the paper's §6 motivation);
         the reservation tail returns to the ledger and the re-admission
         backlog immediately competes for it.  Returns False when the
-        reservation is not live (already completed/terminated/rejected).
+        reservation is not live (already completed/terminated/rejected);
+        that abort is journaled too, since it moved the clock.
         """
-        self._advance(now)
+        self._check_clock(now)
         reservation = self._book.get(rid)
+        self._advance(now)
         freed = self._book.abort(reservation, now)
+        self._record("abort", now, rid=rid)
         if freed is None:
             return False
         self.stats.aborted += 1
         self.stats.wasted_volume += reservation.carried
         self.stats.freed_volume += freed
-        self._record("abort", now, rid=rid)
         tel = self.telemetry
         if tel.enabled:
             tel.metrics.counter("service_aborts_total", "Mid-flight transfer aborts.").inc()
@@ -500,8 +505,10 @@ class ReservationService:
         exactly as found.  Journaled as ``reshape``; returns True when
         re-shaped.
         """
+        self._check_clock(now)
+        reservation = self._book.get(rid)
         self._advance(now)
-        ok = self._book.reshape_tail(self._book.get(rid), now)
+        ok = self._book.reshape_tail(reservation, now)
         if ok:
             self.stats.reshaped += 1
         self._record("reshape", now, rid=rid)

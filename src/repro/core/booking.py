@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from collections.abc import Callable, Iterator
 from typing import Protocol, runtime_checkable
 
+from ..obs.metrics import MetricsRegistry
 from ..obs.telemetry import get_telemetry
 from .allocation import Allocation
 from .capacity import CapacityProfile
@@ -218,20 +219,31 @@ def earliest_fit(
     return None
 
 
+class _FitMetrics:
+    """The booking-layer counters, bound once per telemetry handle."""
+
+    def __init__(self, metrics: MetricsRegistry) -> None:
+        self.fits = {
+            accepted: metrics.bind(
+                "counter", "booking_earliest_fit_total", "Earliest-fit searches by outcome.",
+                outcome="accepted" if accepted else "rejected",
+            )
+            for accepted in (True, False)
+        }
+        self.candidates = metrics.bind(
+            "counter", "booking_candidates_examined_total",
+            "Candidate start times examined by the earliest-fit search.",
+        )
+
+
 def _count_fit(request: Request, *, candidates: int, accepted: bool) -> None:
     """Maintain the booking-layer counters on the active telemetry handle."""
     tel = get_telemetry()
     if not tel.enabled:
         return
-    outcome = "accepted" if accepted else "rejected"
-    tel.metrics.counter(
-        "booking_earliest_fit_total",
-        "Earliest-fit searches by outcome.",
-    ).inc(outcome=outcome)
-    tel.metrics.counter(
-        "booking_candidates_examined_total",
-        "Candidate start times examined by the earliest-fit search.",
-    ).inc(float(candidates))
+    bound = tel.bundle(_FitMetrics)
+    bound.fits[accepted].inc()
+    bound.candidates.inc(float(candidates))
 
 
 def _pair_breakpoints(

@@ -35,7 +35,9 @@ class BreakpointProfile(CapacityProfile):
         # indexing simple.
         self._breakpoints: list[float] = [-math.inf]
         self._values: list[float] = [0.0]
-        # Cached global_max; None after any mutation.
+        # Cached global_max: kept up to date by a positive add (the peak
+        # can only rise to the touched segments' new max), dropped (None)
+        # by a negative one.
         self._peak: float | None = 0.0
 
     # ------------------------------------------------------------------
@@ -74,10 +76,16 @@ class BreakpointProfile(CapacityProfile):
             return
         i0 = self._ensure_breakpoint(t0)
         i1 = self._ensure_breakpoint(t1)
+        values = self._values
         for k in range(i0, i1):
-            self._values[k] += delta
+            values[k] += delta
+        if delta > 0.0 and self._peak is not None:
+            touched = max(values[i0:i1])
+            if touched > self._peak:
+                self._peak = touched
+        else:
+            self._peak = None
         self._coalesce(i0 - 1, i1 + 1)
-        self._peak = None
 
     def clear(self) -> None:
         self._breakpoints = [-math.inf]

@@ -55,7 +55,8 @@ class VectorProfile(CapacityProfile):
         # indexing simple and searchsorted O(log n).
         self._breakpoints: np.ndarray = np.array([-math.inf], dtype=np.float64)
         self._values: np.ndarray = np.array([0.0], dtype=np.float64)
-        # Caches, dropped on any mutation.
+        # Caches, dropped on any mutation — except _peak, which a positive
+        # add keeps up to date.
         self._peak: float | None = 0.0
         self._suffix: np.ndarray | None = None
         self._rmq: list[np.ndarray] | None = None
@@ -131,8 +132,18 @@ class VectorProfile(CapacityProfile):
         i0 = self._ensure_breakpoint(t0)
         i1 = self._ensure_breakpoint(t1)
         self._values[i0:i1] += delta
+        peak = self._peak
+        if delta > 0.0 and peak is not None:
+            # A positive add can only raise the peak to the touched
+            # segments' new max (coalescing merges equal values only).
+            touched = float(self._values[i0:i1].max())
+            if touched > peak:
+                peak = touched
+        else:
+            peak = None
         self._coalesce(i0 - 1, i1 + 1)
         self._invalidate()
+        self._peak = peak
 
     def add_batch(self, intervals: Iterable[tuple[float, float, float]]) -> None:
         batch = [(t0, t1, delta) for t0, t1, delta in intervals]

@@ -38,6 +38,7 @@ batch; :attr:`Gateway.simulated_cost` is the accumulated critical path.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, replace
 from typing import Any
 
@@ -49,7 +50,8 @@ from ..core.ledger import Degradation
 from ..core.platform import Platform
 from ..core.profile import RateProfile
 from ..core.request import Request
-from ..obs.causal import CausalObserver, TraceContext
+from ..obs.causal import CausalObserver, TraceContext, hop
+from ..obs.metrics import MetricsRegistry
 from ..obs.recorder import FlightRecorder
 from ..obs.slo import SloWatchdog
 from ..obs.telemetry import Telemetry, get_telemetry
@@ -150,6 +152,56 @@ class Ticket:
         return self.request.rid
 
 
+class _DecisionMetrics:
+    """The decision path's instruments, bound once per telemetry handle."""
+
+    def __init__(self, metrics: MetricsRegistry) -> None:
+        bind = metrics.bind
+        self.submits = {
+            outcome: bind(
+                "counter", "gateway_submits_total", "Gateway admissions by outcome.",
+                outcome=outcome,
+            )
+            for outcome in ("accepted", "rejected")
+        }
+        self.admissions = {
+            local: bind(
+                "counter", "gateway_admissions_total", "Gateway admissions by placement path.",
+                path="local" if local else "cross-shard",
+            )
+            for local in (True, False)
+        }
+        self.fastpath = {
+            hit: bind(
+                "counter", "gateway_fastpath_total", "Headroom-index fast-path answers.",
+                outcome="hit" if hit else "miss",
+            )
+            for hit in (True, False)
+        }
+        self.retries = bind(
+            "counter", "gateway_prepare_retries_total",
+            "Two-phase attempts burned on crashed brokers.",
+        )
+        self.aborts = bind(
+            "counter", "gateway_twophase_aborts_total",
+            "Two-phase transactions rolled back with holds released.",
+        )
+        self.latency = bind(
+            "histogram", "gateway_admission_latency_seconds",
+            "Admission latency in simulated seconds (queueing + retries + chaos).",
+        )
+        self.occupancy = bind(
+            "histogram", "gateway_batch_occupancy", "Requests per flushed batch."
+        )
+        self.rejects = metrics.family(
+            "counter", "gateway_rejects_total", "Gateway rejections by reason.", "reason"
+        )
+        self.batches = metrics.family(
+            "counter", "gateway_batches_total", "Admission batches flushed, by ordering.",
+            "ordering",
+        )
+
+
 class Gateway:
     """Sharded, batched admission gateway over one platform.
 
@@ -247,8 +299,9 @@ class Gateway:
         self.recorder = recorder
         self.slo = slo
         self._observer = CausalObserver(lambda: self.telemetry, recorder=recorder)
-        #: Root trace context per rid, for joining later lifecycle hops.
-        self._trace_roots: dict[int, TraceContext] = {}
+        #: Rids at which tracing switched on or off (ascending; tracing
+        #: starts off), so whether a rid is traced is a bisection.
+        self._trace_flips: list[int] = []
         # The coordinator gets its own copy of the broker list: the shard
         # set is fixed at construction, and a shared alias would let either
         # side mutate the other's view once brokers move out-of-process.
@@ -358,9 +411,31 @@ class Gateway:
     # Causal tracing (observability only: never touches decisions,
     # journal, snapshot or replay)
     # ------------------------------------------------------------------
-    def _tracing(self) -> bool:
-        """Should this gateway mint trace contexts at all?"""
-        return self.recorder is not None or self.telemetry.enabled
+    def _mint_trace(self, rid: int) -> bool:
+        """Is ``rid``, just taken, traced?  Tracing is on while a recorder
+        is attached or the telemetry handle is enabled."""
+        on = self.recorder is not None or self.telemetry.enabled
+        if on is not (len(self._trace_flips) % 2 == 1):
+            self._trace_flips.append(rid)
+        return on
+
+    def _trace_ctx(self, rid: int) -> TraceContext | None:
+        """Request ``rid``'s trace context (``None`` when it is untraced).
+
+        Derived, never stored: a rid's context is its root ``req-<rid>``
+        unless it has a traced origin, in which case it is one hop under
+        the origin's context — ``rebook:<rid>`` for a submission with an
+        ``origin``, ``readmit:<rid>`` for a backlog re-admission.
+        """
+        if bisect_right(self._trace_flips, rid) % 2 == 0:
+            return None
+        ticket = self._tickets.get(rid)
+        if ticket is not None:
+            origin, link = ticket.origin, "rebook"
+        else:
+            origin, link = self._book.get(rid).origin, "readmit"
+        parent = None if origin is None else self._trace_ctx(origin)
+        return TraceContext.root(rid) if parent is None else parent.child(f"{link}:{rid}")
 
     def _trace_event(
         self,
@@ -370,15 +445,19 @@ class Gateway:
         ctx: TraceContext | None,
         **fields: Any,
     ) -> None:
-        """One gateway-side hop on a request's causal timeline."""
+        """One gateway-side hop on a request's causal timeline.
+
+        Recorded as one :data:`~repro.obs.causal.Hop` tuple; the tracer
+        and the recorder build its span and row only when read.
+        """
         if ctx is None:
             return
-        merged = {**ctx.fields(), **fields}
+        record = hop(kind, now, "causal", 0, ctx, fields)
         tel = self.telemetry
         if tel.enabled:
-            tel.tracer.instant(kind, now, cat="causal", **merged)
+            tel.tracer.hop(record)
         if self.recorder is not None:
-            self.recorder.record(component, now, kind, **merged)
+            self.recorder.hop(component, record)
 
     def _flight(self, component: str, now: float, kind: str, **fields: Any) -> None:
         """A component-level (not request-level) flight-recorder row."""
@@ -461,17 +540,10 @@ class Gateway:
             args["profile"] = wanted.to_list()
         self._record("gw_submit", now, **args)
         self.stats.submits += 1
-        ctx: TraceContext | None = None
-        if self._tracing():
-            # A rebooking joins the original request's trace so one
-            # `grid-obs explain` shows the whole lineage.
-            parent = self._trace_roots.get(origin) if origin is not None else None
-            ctx = (
-                parent.child(f"rebook:{rid}")
-                if parent is not None
-                else TraceContext.root(rid)
-            )
-            self._trace_roots[rid] = ctx
+        # A rebooking joins the original request's trace so one
+        # `grid-obs explain` shows the whole lineage (see _trace_ctx).
+        ctx = self._trace_ctx(rid) if self._mint_trace(rid) else None
+        if ctx is not None:
             self._trace_event(
                 "gateway",
                 now,
@@ -563,12 +635,9 @@ class Gateway:
             else None
         )
         if tel.enabled:
-            tel.metrics.counter(
-                "gateway_batches_total", "Admission batches flushed, by ordering."
-            ).inc(ordering=self.batcher.ordering.value)
-            tel.metrics.histogram(
-                "gateway_batch_occupancy", "Requests per flushed batch."
-            ).observe(float(len(batch)))
+            bound = tel.bundle(_DecisionMetrics)
+            bound.batches(self.batcher.ordering.value).inc()
+            bound.occupancy.observe(float(len(batch)))
             tel.tracer.complete(
                 "gateway.batch",
                 self._batch_opened,
@@ -594,7 +663,7 @@ class Gateway:
     def _decide(self, ticket: Ticket, now: float) -> None:
         """Run one admission through the coordinator; publish the outcome."""
         request = ticket.request
-        ctx = self._trace_roots.get(request.rid)
+        ctx = self._trace_ctx(request.rid)
         outcome = self.coordinator.reserve(
             request,
             lambda sigma: self.policy.assign(request, sigma),
@@ -651,7 +720,7 @@ class Gateway:
             reason=None if accepted else reason,
             latency=latency,
         )
-        self._observe_decision(reservation, outcome, now, latency)
+        self._observe_decision(reservation, outcome, now, latency, ctx)
         if self.on_decision is not None:
             self.on_decision(reservation, now)
 
@@ -681,51 +750,42 @@ class Gateway:
             ).inc()
 
     def _observe_decision(
-        self, reservation: Reservation, outcome, now: float, latency: float
+        self,
+        reservation: Reservation,
+        outcome,
+        now: float,
+        latency: float,
+        ctx: TraceContext | None,
     ) -> None:
         tel = self.telemetry
         if not tel.enabled:
             return
+        bound = tel.bundle(_DecisionMetrics)
         alloc = reservation.allocation
         decided = "accepted" if alloc is not None else "rejected"
-        tel.metrics.counter(
-            "gateway_submits_total", "Gateway admissions by outcome."
-        ).inc(outcome=decided)
-        tel.metrics.counter(
-            "gateway_admissions_total", "Gateway admissions by placement path."
-        ).inc(path="local" if outcome.local else "cross-shard")
-        tel.metrics.counter(
-            "gateway_fastpath_total", "Headroom-index fast-path answers."
-        ).inc(outcome="hit" if outcome.fastpath else "miss")
+        bound.submits[decided].inc()
+        bound.admissions[outcome.local].inc()
+        bound.fastpath[outcome.fastpath].inc()
         if outcome.retries:
-            tel.metrics.counter(
-                "gateway_prepare_retries_total",
-                "Two-phase attempts burned on crashed brokers.",
-            ).inc(float(outcome.retries))
+            bound.retries.inc(float(outcome.retries))
         if outcome.aborted:
-            tel.metrics.counter(
-                "gateway_twophase_aborts_total",
-                "Two-phase transactions rolled back with holds released.",
-            ).inc()
-        tel.metrics.histogram(
-            "gateway_admission_latency_seconds",
-            "Admission latency in simulated seconds (queueing + retries + chaos).",
-        ).observe(latency)
+            bound.aborts.inc()
+        bound.latency.observe(latency)
+        request = reservation.request
         fields: dict[str, Any] = {
             "rid": reservation.rid,
-            "ingress": reservation.request.ingress,
-            "egress": reservation.request.egress,
-            "volume": reservation.request.volume,
-            "deadline": reservation.request.t_end,
+            "ingress": request.ingress,
+            "egress": request.egress,
+            "volume": request.volume,
+            "deadline": request.t_end,
             "outcome": decided,
             "path": "local" if outcome.local else "cross-shard",
             "fastpath": outcome.fastpath,
             "candidates": outcome.probe.candidates,
             "latency": latency,
         }
-        trace_ctx = self._trace_roots.get(reservation.rid)
-        if trace_ctx is not None:
-            fields.update(trace_ctx.fields())
+        if ctx is not None:
+            fields.update(ctx.fields())
         if alloc is not None:
             fields.update(sigma=alloc.sigma, tau=alloc.tau, bw=alloc.bw)
         else:
@@ -735,9 +795,7 @@ class Gateway:
                 else "unspecified"
             )
             fields["reason"] = reason
-            tel.metrics.counter(
-                "gateway_rejects_total", "Gateway rejections by reason."
-            ).inc(reason=reason)
+            bound.rejects(reason).inc()
         tel.emit("gateway.submit", now, **fields)
 
     # ------------------------------------------------------------------
@@ -780,16 +838,15 @@ class Gateway:
             )
             attempted += 1
             ctx: TraceContext | None = None
-            if self._tracing():
+            if self._mint_trace(candidate.rid):
                 # Re-admissions stay on the original request's trace: the
                 # fresh rid is one more hop of the same causal story.
-                root = self._trace_roots.get(rid)
+                root = self._trace_ctx(rid)
                 ctx = (
                     root.child(f"readmit:{candidate.rid}")
                     if root is not None
                     else TraceContext.root(candidate.rid)
                 )
-                self._trace_roots[candidate.rid] = ctx
                 self._trace_event(
                     "gateway",
                     now,
@@ -843,7 +900,7 @@ class Gateway:
             ).inc(float(len(admitted)))
             for origin_rid, new_rid in admitted:
                 fields: dict[str, Any] = {"origin": origin_rid, "rid": new_rid}
-                new_ctx = self._trace_roots.get(new_rid)
+                new_ctx = self._trace_ctx(new_rid)
                 if new_ctx is not None:
                     fields.update(new_ctx.fields())
                 tel.emit("gateway.readmit", now, **fields)
@@ -876,10 +933,15 @@ class Gateway:
         """Advance the overcommit high-water mark after a confirmed booking.
 
         Only the two ports the booking touched can move the worst
-        ``peak / capacity`` ratio, so the probe stays O(1) per admission.
-        Cancellations, compensations and broker restarts can later lower
-        the live peaks; the mark deliberately keeps the worst proximity
-        the run ever reached.
+        ``peak / capacity`` ratio, and their peaks are read from the
+        capacity kernel, which keeps them current through every booking
+        (a positive ``add`` folds in the max of the segments it touched,
+        inside the add's own O(log n + k)).  So a booking plus this probe
+        costs O(log n + k) and never rescans a port timeline; only after
+        a release does the next read rescan once.  Cancellations,
+        compensations and broker restarts can later lower the live peaks;
+        the mark deliberately keeps the worst proximity the run ever
+        reached.
         """
         for side, port in (("ingress", ingress), ("egress", egress)):
             cap = self.platform.bin(port) if side == "ingress" else self.platform.bout(port)
@@ -976,11 +1038,25 @@ class Gateway:
     # ------------------------------------------------------------------
     # Lifecycle operations (mirroring the monolithic service)
     # ------------------------------------------------------------------
-    def cancel(self, rid: int, *, now: float) -> bool:
-        """Cancel a reservation; the unconsumed tail returns to its shards."""
+    def _settle(self, rid: int, now: float) -> Reservation:
+        """Check the clock, resolve ``rid``, then advance and flush.
+
+        The order makes a verb on an unknown rid raise before anything
+        moves — no advance, no flush, nothing journaled — so live and
+        replayed state stay equal.  A rid still pending in the open batch
+        is known: the flush decides it.
+        """
+        self._check_clock(now)
+        ticket = self._tickets.get(rid)
+        if rid not in self._book and (ticket is None or ticket.edge_refused):
+            raise KeyError(f"unknown reservation {rid}")
         self._advance(now)
         self._flush(self._clock)
-        reservation = self._book.get(rid)
+        return self._book.get(rid)
+
+    def cancel(self, rid: int, *, now: float) -> bool:
+        """Cancel a reservation; the unconsumed tail returns to its shards."""
+        reservation = self._settle(rid, now)
         self._record("gw_cancel", now, rid=rid)
         released = self._book.cancel(reservation, now)
         if released:
@@ -989,7 +1065,7 @@ class Gateway:
             "gateway",
             now,
             "gateway.trace.cancel",
-            self._trace_roots.get(rid),
+            self._trace_ctx(rid),
             rid=rid,
             released=released,
         )
@@ -1003,15 +1079,13 @@ class Gateway:
 
     def abort(self, rid: int, *, now: float) -> bool:
         """A transfer died mid-flight; free its tail on both shards."""
-        self._advance(now)
-        self._flush(self._clock)
-        reservation = self._book.get(rid)
+        reservation = self._settle(rid, now)
         self._record("gw_abort", now, rid=rid)
         if self._book.abort(reservation, now) is None:
             return False
         self.stats.aborted += 1
         self._trace_event(
-            "gateway", now, "gateway.trace.abort", self._trace_roots.get(rid), rid=rid
+            "gateway", now, "gateway.trace.abort", self._trace_ctx(rid), rid=rid
         )
         tel = self.telemetry
         if tel.enabled:
@@ -1035,9 +1109,9 @@ class Gateway:
         service: latest-starting live reservations on the port yield first,
         until the shard's slice fits under the remaining capacity again.
         """
+        degradation = Degradation(side=side, port=port, t0=start, t1=end, amount=amount)
         self._advance(now)
         self._flush(self._clock)
-        degradation = Degradation(side=side, port=port, t0=start, t1=end, amount=amount)
         displaced, reshaped_rids, _ = self._book.degrade(
             degradation, now, reshape=self.malleable
         )
@@ -1079,9 +1153,7 @@ class Gateway:
         as on the service.  Journaled as ``gw_reshape``; returns True when
         re-shaped.
         """
-        self._advance(now)
-        self._flush(self._clock)
-        reservation = self._book.get(rid)
+        reservation = self._settle(rid, now)
         self._record("gw_reshape", now, rid=rid)
         ok = self._book.reshape_tail(reservation, now)
         if ok:
@@ -1090,7 +1162,7 @@ class Gateway:
             "gateway",
             now,
             "gateway.trace.reshape",
-            self._trace_roots.get(rid),
+            self._trace_ctx(rid),
             rid=rid,
             reshaped=ok,
         )
@@ -1113,8 +1185,8 @@ class Gateway:
         at the crash instant face the crashed broker when their batch
         decides — the mid-prepare abort path the drills exercise.
         """
-        self._advance(now)
         broker = self._broker(shard)
+        self._advance(now)
         wiped = broker.crash()
         self.stats.crashes += 1
         self._record("gw_crash", now, shard=shard)
@@ -1129,8 +1201,9 @@ class Gateway:
 
     def restart_broker(self, shard: int, *, now: float) -> None:
         """Bring a crashed broker back (committed slices intact, holds gone)."""
+        broker = self._broker(shard)
         self._advance(now)
-        self._broker(shard).restart()
+        broker.restart()
         self.stats.restarts += 1
         self._record("gw_restart", now, shard=shard)
         self._flight(f"rpc.shard{shard}", now, "broker.restart")

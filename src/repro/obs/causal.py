@@ -31,21 +31,31 @@ artifact (plus, optionally, the gateway journal) — the backend of
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from collections.abc import Callable, Iterable, Mapping
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, NamedTuple
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
     from .artifact import RunTelemetry
     from .recorder import FlightRecorder
     from .telemetry import Telemetry
 
-__all__ = ["CausalObserver", "TraceContext", "child_of", "explain_request"]
+__all__ = [
+    "CausalObserver",
+    "Hop",
+    "TraceContext",
+    "child_of",
+    "explain_request",
+    "hop",
+    "hop_args",
+]
 
 
-@dataclass(frozen=True, slots=True)
-class TraceContext:
-    """One request's position in the causal tree (immutable, derived)."""
+class TraceContext(NamedTuple):
+    """One request's position in the causal tree (immutable, derived).
+
+    A named tuple rather than a frozen dataclass: contexts are minted on
+    every traced admission, and a tuple is several times cheaper to build.
+    """
 
     trace_id: str
     span_id: str
@@ -55,15 +65,11 @@ class TraceContext:
     def root(cls, rid: int) -> TraceContext:
         """The root context of request ``rid`` — a pure function of the rid."""
         marker = f"req-{rid}"
-        return cls(trace_id=marker, span_id=marker)
+        return cls(marker, marker)
 
     def child(self, segment: str) -> TraceContext:
         """A child hop named by appending ``segment`` to the span path."""
-        return TraceContext(
-            trace_id=self.trace_id,
-            span_id=f"{self.span_id}/{segment}",
-            parent_id=self.span_id,
-        )
+        return TraceContext(self.trace_id, f"{self.span_id}/{segment}", self.span_id)
 
     def fields(self) -> dict[str, Any]:
         """The explicit-propagation form carried on events and spans."""
@@ -71,6 +77,30 @@ class TraceContext:
         if self.parent_id is not None:
             out["parent"] = self.parent_id
         return out
+
+
+#: One causal hop as the sinks store it: ``(name, t, cat, tid, trace,
+#: span, parent, fields)`` — the context flattened into its three ids.
+#: Its record fields are the context's :meth:`TraceContext.fields`
+#: followed by ``fields``, built only when a sink is read (see
+#: :func:`hop_args`): recording a hop keeps one tuple and one dict.
+Hop = tuple[str, float, str, int, str, str, "str | None", dict[str, Any]]
+
+
+def hop(
+    name: str, t: float, cat: str, tid: int, ctx: TraceContext, fields: dict[str, Any]
+) -> Hop:
+    """The :data:`Hop` record of one causal hop."""
+    return (name, t, cat, tid, ctx.trace_id, ctx.span_id, ctx.parent_id, fields)
+
+
+def hop_args(record: Hop) -> dict[str, Any]:
+    """The field dict of a recorded hop, in recording order."""
+    args: dict[str, Any] = {"trace": record[4], "span": record[5]}
+    if record[6] is not None:
+        args["parent"] = record[6]
+    args.update(record[7])
+    return args
 
 
 def child_of(ctx: TraceContext | None, segment: str) -> TraceContext | None:
@@ -115,7 +145,7 @@ class CausalObserver:
         """One protocol call reached the broker (possibly after faults)."""
         if ctx is None:
             return
-        self._note(f"rpc.{op}", "rpc", shard, now, ctx, detail)
+        self._note(hop(f"rpc.{op}", now, "rpc", shard, ctx, {"shard": shard, **detail}))
 
     def fault(
         self,
@@ -132,24 +162,16 @@ class CausalObserver:
         timeline so the lost hop is visible."""
         if ctx is None:
             return
-        detail = {"op": op, **detail}
-        self._note(f"chaos.{kind}", "chaos", shard, now, ctx, detail)
+        self._note(
+            hop(f"chaos.{kind}", now, "chaos", shard, ctx, {"shard": shard, "op": op, **detail})
+        )
 
-    def _note(
-        self,
-        name: str,
-        cat: str,
-        shard: int,
-        now: float,
-        ctx: TraceContext,
-        detail: Mapping[str, Any],
-    ) -> None:
-        fields = {**ctx.fields(), "shard": shard, **detail}
+    def _note(self, record: Hop) -> None:
         tel = self._telemetry()
         if tel.enabled:
-            tel.tracer.instant(name, now, cat=cat, tid=shard, **fields)
+            tel.tracer.hop(record)
         if self.recorder is not None:
-            self.recorder.record(f"rpc.shard{shard}", now, name, **fields)
+            self.recorder.hop(f"rpc.shard{record[3]}", record)
 
 
 # ----------------------------------------------------------------------

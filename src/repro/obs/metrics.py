@@ -17,12 +17,16 @@ from __future__ import annotations
 
 import json
 import math
-from collections.abc import Iterator, Mapping, Sequence
+from bisect import bisect_left
+from collections.abc import Callable, Iterator, Mapping, Sequence
+from functools import partial
 from typing import Any
 
 from ..core.errors import ConfigurationError
 
 __all__ = [
+    "Bound",
+    "BoundFamily",
     "Counter",
     "Gauge",
     "Histogram",
@@ -72,9 +76,11 @@ class Counter:
 
     def inc(self, amount: float = 1.0, **labels: Any) -> None:
         """Add ``amount`` (default 1) to the sample addressed by ``labels``."""
+        self._inc(_label_key(labels) if labels else (), amount)
+
+    def _inc(self, key: LabelKey, amount: float) -> None:
         if amount < 0:
             raise ConfigurationError(f"counter {self.name} cannot decrease (amount={amount})")
-        key = _label_key(labels)
         self._samples[key] = self._samples.get(key, 0.0) + amount
 
     def value(self, **labels: Any) -> float:
@@ -120,7 +126,9 @@ class Gauge(Counter):
 
     def inc(self, amount: float = 1.0, **labels: Any) -> None:
         """Gauges move freely: negative deltas are fine."""
-        key = _label_key(labels)
+        self._inc(_label_key(labels) if labels else (), amount)
+
+    def _inc(self, key: LabelKey, amount: float) -> None:
         self._samples[key] = self._samples.get(key, 0.0) + amount
 
     def set(self, value: float, **labels: Any) -> None:
@@ -158,16 +166,19 @@ class Histogram:
 
     def observe(self, value: float, **labels: Any) -> None:
         """Record one observation."""
-        key = _label_key(labels)
-        counts = self._counts.setdefault(key, [0] * (len(self.buckets) + 1))
-        idx = len(self.buckets)
-        for k, bound in enumerate(self.buckets):
-            if value <= bound:
-                idx = k
-                break
-        counts[idx] += 1
-        self._sums[key] = self._sums.get(key, 0.0) + float(value)
-        self._totals[key] = self._totals.get(key, 0) + 1
+        self._observe(_label_key(labels) if labels else (), value)
+
+    def _observe(self, key: LabelKey, value: float) -> None:
+        counts = self._counts.get(key)
+        if counts is None:
+            counts = self._counts[key] = [0] * (len(self.buckets) + 1)
+            self._sums[key] = 0.0
+            self._totals[key] = 0
+        # The first bucket whose bound is >= value; NaN compares false
+        # against every bound, so it lands in +Inf.
+        counts[bisect_left(self.buckets, value) if value == value else len(self.buckets)] += 1
+        self._sums[key] += float(value)
+        self._totals[key] += 1
 
     def count(self, **labels: Any) -> int:
         """Number of observations for one label set."""
@@ -216,6 +227,75 @@ class Histogram:
 
 
 Instrument = Counter | Gauge | Histogram
+
+
+class Bound:
+    """One sample of one metric, addressed once (see :meth:`MetricsRegistry.bind`).
+
+    The label key is computed when the handle is made and the metric is
+    registered on first use, so a handle that never fires leaves every
+    export exactly as it was.
+    """
+
+    __slots__ = ("_make", "_key", "_metric")
+
+    def __init__(self, make: Callable[[], Any], key: LabelKey) -> None:
+        self._make = make
+        self._key = key
+        self._metric: Any = None
+
+    def _resolve(self) -> Any:
+        metric = self._metric = self._make()
+        return metric
+
+    def inc(self, amount: float = 1.0) -> None:
+        """:meth:`Counter.inc` / :meth:`Gauge.inc` on the bound sample."""
+        (self._metric or self._resolve())._inc(self._key, amount)
+
+    def observe(self, value: float) -> None:
+        """:meth:`Histogram.observe` on the bound sample."""
+        (self._metric or self._resolve())._observe(self._key, value)
+
+
+class BoundFamily:
+    """The :class:`Bound` samples of one metric, one per label-value tuple.
+
+    For labels whose values are only known at the call site but come from
+    a small set (reject reasons, routes, statuses): each value tuple is
+    bound on first sight and reused (see :meth:`MetricsRegistry.family`).
+    """
+
+    __slots__ = ("_registry", "_kind", "_name", "_help", "_labels", "_buckets", "_bound")
+
+    def __init__(
+        self,
+        registry: MetricsRegistry,
+        kind: str,
+        name: str,
+        help: str,
+        labels: tuple[str, ...],
+        buckets: Sequence[float],
+    ) -> None:
+        self._registry = registry
+        self._kind = kind
+        self._name = name
+        self._help = help
+        self._labels = labels
+        self._buckets = buckets
+        self._bound: dict[tuple[Any, ...], Bound] = {}
+
+    def __call__(self, *values: Any) -> Bound:
+        """The bound sample for these label values (in ``labels`` order)."""
+        found = self._bound.get(values)
+        if found is None:
+            found = self._bound[values] = self._registry.bind(
+                self._kind,
+                self._name,
+                self._help,
+                buckets=self._buckets,
+                **dict(zip(self._labels, values)),
+            )
+        return found
 
 
 class MetricsRegistry:
@@ -269,6 +349,40 @@ class MetricsRegistry:
     ) -> Histogram:
         """Get or create a histogram."""
         return self._register(name, Histogram, lambda: Histogram(name, help, buckets))
+
+    def bind(
+        self,
+        kind: str,
+        name: str,
+        help: str = "",
+        *,
+        buckets: Sequence[float] = DEFAULT_BUCKETS,
+        **labels: Any,
+    ) -> Bound:
+        """A :class:`Bound` handle on the ``labels`` sample of metric ``name``.
+
+        For hot paths: the label key is computed here, once, instead of on
+        every ``inc``/``observe``; the metric is created (as ``kind``:
+        ``counter``, ``gauge`` or ``histogram``) on the handle's first use.
+        """
+        if kind == "histogram":
+            make: Callable[[], Any] = partial(self.histogram, name, help, buckets)
+        elif kind in ("counter", "gauge"):
+            make = partial(getattr(self, kind), name, help)
+        else:
+            raise ConfigurationError(f"unknown metric kind {kind!r} for {name!r}")
+        return Bound(make, _label_key(labels))
+
+    def family(
+        self,
+        kind: str,
+        name: str,
+        help: str,
+        *labels: str,
+        buckets: Sequence[float] = DEFAULT_BUCKETS,
+    ) -> BoundFamily:
+        """A :class:`BoundFamily` of ``name`` keyed by the values of ``labels``."""
+        return BoundFamily(self, kind, name, help, labels, buckets)
 
     # ------------------------------------------------------------------
     def to_prometheus_text(self) -> str:

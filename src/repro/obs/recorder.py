@@ -21,6 +21,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
 
+from .causal import Hop, hop_args
+from .ring import Ring
 from .schema import validate_flight_dump
 
 __all__ = ["FlightEntry", "FlightRecorder"]
@@ -42,35 +44,63 @@ class FlightEntry:
         return {"t": self.t, "kind": self.kind, "fields": dict(self.fields)}
 
 
+def _entry(record: Hop) -> FlightEntry:
+    """The flight-recorder row a recorded causal hop stands for."""
+    return FlightEntry(record[1], record[0], hop_args(record))
+
+
 class FlightRecorder:
-    """Per-component bounded ring buffers with exact drop accounting."""
+    """Per-component bounded ring buffers with exact drop accounting.
+
+    Causal hops (:meth:`hop`) are stored as their compact
+    :data:`~repro.obs.causal.Hop` tuples and built into
+    :class:`FlightEntry` rows only when a tail is read or dumped.
+    """
 
     def __init__(self, capacity: int = DEFAULT_CAPACITY) -> None:
         if capacity < 1:
             raise ValueError(f"flight-recorder capacity must be >= 1, got {capacity}")
         self.capacity = capacity
-        self._events: dict[str, list[FlightEntry]] = {}
-        self._dropped: dict[str, int] = {}
+        self._rings: dict[str, Ring[FlightEntry | Hop]] = {}
+        #: Components whose ring holds hop tuples not yet built into entries.
+        self._raw: set[str] = set()
+
+    def _ring(self, component: str) -> Ring[FlightEntry | Hop]:
+        ring = self._rings.get(component)
+        if ring is None:
+            ring = self._rings[component] = Ring(self.capacity)
+        return ring
 
     def record(self, component: str, t: float, kind: str, **fields: Any) -> None:
         """Record one event; the oldest entry falls off a full ring."""
-        ring = self._events.setdefault(component, [])
-        ring.append(FlightEntry(t, kind, fields))
-        if len(ring) > self.capacity:
-            del ring[0]
-            self._dropped[component] = self._dropped.get(component, 0) + 1
+        self._ring(component).append(FlightEntry(t, kind, fields))
+
+    def hop(self, component: str, record: Hop) -> None:
+        """Record one causal hop, built into a :class:`FlightEntry` on read."""
+        self._ring(component).append(record)
+        self._raw.add(component)
+
+    def _entries(self, component: str) -> Ring[FlightEntry]:
+        ring = self._rings[component]
+        if component in self._raw:
+            ring.build(FlightEntry, _entry)
+            self._raw.discard(component)
+        return ring  # type: ignore[return-value]
 
     def components(self) -> list[str]:
         """Components with at least one recorded event, sorted."""
-        return sorted(self._events)
+        return sorted(self._rings)
 
     def entries(self, component: str) -> list[FlightEntry]:
         """The retained tail for ``component``, oldest first."""
-        return list(self._events.get(component, ()))
+        if component not in self._rings:
+            return []
+        return list(self._entries(component))
 
     def dropped(self, component: str) -> int:
         """How many events fell off ``component``'s ring."""
-        return self._dropped.get(component, 0)
+        ring = self._rings.get(component)
+        return 0 if ring is None else ring.dropped
 
     def dump(self, *, reason: str, now: float) -> dict[str, Any]:
         """A schema-valid post-mortem document of every component's tail."""
@@ -84,7 +114,7 @@ class FlightRecorder:
                 {
                     "component": component,
                     "dropped": self.dropped(component),
-                    "events": [entry.to_dict() for entry in self._events[component]],
+                    "events": [entry.to_dict() for entry in self._entries(component)],
                 }
                 for component in self.components()
             ],

@@ -25,11 +25,12 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from collections.abc import Iterator
-from typing import Any
+from collections.abc import Callable, Iterator
+from typing import Any, TypeVar
 
 from ..core.errors import ConfigurationError
 from .metrics import MetricsRegistry
+from .ring import Ring
 from .tracer import SpanTracer
 
 __all__ = [
@@ -40,6 +41,8 @@ __all__ = [
     "set_telemetry",
     "use_telemetry",
 ]
+
+B = TypeVar("B")
 
 
 @dataclass(frozen=True, slots=True)
@@ -70,8 +73,9 @@ class Telemetry:
     Parameters
     ----------
     max_events:
-        FIFO bound on retained events (evictions are counted in
-        :attr:`events_dropped`); ``None`` keeps everything.
+        FIFO bound on retained events (a :class:`~repro.obs.ring.Ring`;
+        evictions are counted in :attr:`events_dropped`); ``None`` keeps
+        everything.
     max_spans:
         Capacity bound forwarded to the :class:`SpanTracer`.
     """
@@ -88,28 +92,53 @@ class Telemetry:
             raise ConfigurationError(f"max_events must be positive, got {max_events}")
         self.metrics = MetricsRegistry()
         self.tracer = SpanTracer(capacity=max_spans)
-        self.events: list[TelemetryEvent] = []
-        self._max_events = max_events
-        self._events_dropped = 0
+        self._events: Ring[TelemetryEvent | tuple[float, str, dict[str, Any]]] = Ring(
+            max_events
+        )
+        #: Does the ring hold ``(time, name, fields)`` tuples not yet built
+        #: into :class:`TelemetryEvent` objects?
+        self._raw = False
+        self._bundles: dict[Callable[[MetricsRegistry], Any], Any] = {}
 
     def emit(self, name: str, t: float, **fields: Any) -> None:
         """Record a structured event at simulated time ``t``."""
         if not self.enabled:
             return
-        self.events.append(TelemetryEvent(time=t, name=name, fields=fields))
-        if self._max_events is not None and len(self.events) > self._max_events:
-            overflow = len(self.events) - self._max_events
-            del self.events[:overflow]
-            self._events_dropped += overflow
+        self._events.append((t, name, fields))
+        self._raw = True
+
+    @property
+    def events(self) -> Ring[TelemetryEvent]:
+        """The retained events, oldest first.
+
+        :meth:`emit` stores a plain ``(time, name, fields)`` tuple; the
+        :class:`TelemetryEvent` objects are built here, on read.
+        """
+        if self._raw:
+            self._events.build(TelemetryEvent, lambda event: TelemetryEvent(*event))
+            self._raw = False
+        return self._events  # type: ignore[return-value]
 
     @property
     def events_dropped(self) -> int:
         """Events evicted by the ``max_events`` bound."""
-        return self._events_dropped
+        return self._events.dropped
+
+    def bundle(self, factory: Callable[[MetricsRegistry], B]) -> B:
+        """The instrument bundle ``factory`` binds over :attr:`metrics`, built once.
+
+        A hot path binds its instruments (fixed label keys computed, see
+        :meth:`~repro.obs.metrics.MetricsRegistry.bind`) the first time it
+        reports through this handle and reuses them afterwards.
+        """
+        found = self._bundles.get(factory)
+        if found is None:
+            found = self._bundles[factory] = factory(self.metrics)
+        return found
 
     def is_empty(self) -> bool:
         """True when nothing has been recorded through this handle."""
-        return not self.events and not len(self.tracer) and not len(self.metrics)
+        return not self._events and not len(self.tracer) and not len(self.metrics)
 
     def snapshot(self) -> dict[str, Any]:
         """Canonical JSON-able digest of everything captured so far."""
@@ -118,7 +147,7 @@ class Telemetry:
             "spans": self.tracer.to_dicts(),
             "events": [event.to_dict() for event in self.events],
             "dropped": {
-                "events": self._events_dropped,
+                "events": self._events.dropped,
                 "spans": self.tracer.dropped,
             },
         }

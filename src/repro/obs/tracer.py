@@ -26,6 +26,8 @@ from collections.abc import Iterator, Mapping
 from typing import Any
 
 from ..core.errors import ConfigurationError
+from .causal import Hop, hop_args
+from .ring import Ring
 
 __all__ = ["Span", "SpanTracer", "SECONDS_TO_TRACE_US"]
 
@@ -83,6 +85,12 @@ class Span:
         )
 
 
+def _instant(record: Hop) -> Span:
+    """The instant span a recorded causal hop stands for."""
+    name, t, cat, tid = record[0], record[1], record[2], record[3]
+    return Span(name=name, start=t, end=t, cat=cat, tid=tid, args=hop_args(record), kind="instant")
+
+
 class SpanTracer:
     """Append-only span collector with an optional FIFO capacity bound.
 
@@ -90,25 +98,36 @@ class SpanTracer:
     ----------
     capacity:
         Keep at most this many spans; older spans are evicted FIFO once
-        exceeded (mirrors :class:`repro.sim.trace.EventTrace`) and counted
-        in :attr:`dropped`.
+        exceeded (the same :class:`~repro.obs.ring.Ring` as
+        :class:`repro.sim.trace.EventTrace`) and counted in
+        :attr:`dropped`.
+
+    Causal hops (:meth:`hop`) are stored as their compact
+    :data:`~repro.obs.causal.Hop` tuples and built into :class:`Span`
+    objects only when the tracer is read or exported.
     """
 
     def __init__(self, capacity: int | None = None) -> None:
-        if capacity is not None and capacity <= 0:
-            raise ConfigurationError(f"capacity must be positive, got {capacity}")
-        self._spans: list[Span] = []
-        self._capacity = capacity
-        self._dropped = 0
+        self._ring: Ring[Span | Hop] = Ring(capacity)
+        #: Does the ring hold hop tuples not yet built into spans?
+        self._raw = False
 
     # ------------------------------------------------------------------
     def _push(self, span: Span) -> Span:
-        self._spans.append(span)
-        if self._capacity is not None and len(self._spans) > self._capacity:
-            overflow = len(self._spans) - self._capacity
-            del self._spans[:overflow]
-            self._dropped += overflow
+        self._ring.append(span)
         return span
+
+    def hop(self, record: Hop) -> None:
+        """Record one causal hop as an instant, built into a :class:`Span` on read."""
+        self._ring.append(record)
+        self._raw = True
+
+    def _spans(self) -> Ring[Span]:
+        """The ring with every retained hop built into its instant span."""
+        if self._raw:
+            self._ring.build(Span, _instant)
+            self._raw = False
+        return self._ring  # type: ignore[return-value]
 
     def begin(self, name: str, t: float, *, cat: str = "", tid: int = 0, **args: Any) -> Span:
         """Open a span at simulated time ``t``; close it with :meth:`finish`."""
@@ -141,20 +160,20 @@ class SpanTracer:
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:
-        return len(self._spans)
+        return len(self._ring)
 
     def __iter__(self) -> Iterator[Span]:
-        return iter(self._spans)
+        return iter(self._spans())
 
     @property
     def dropped(self) -> int:
         """Spans evicted by the capacity bound."""
-        return self._dropped
+        return self._ring.dropped
 
     def spans(self, *, name: str | None = None, cat: str | None = None) -> list[Span]:
         """Recorded spans, optionally filtered by name and/or category."""
         out = []
-        for span in self._spans:
+        for span in self._spans():
             if name is not None and span.name != name:
                 continue
             if cat is not None and span.cat != cat:
@@ -167,7 +186,7 @@ class SpanTracer:
     # ------------------------------------------------------------------
     def to_dicts(self) -> list[dict[str, Any]]:
         """Every span as its canonical dict, in record order."""
-        return [span.to_dict() for span in self._spans]
+        return [span.to_dict() for span in self._spans()]
 
     def to_chrome_trace(self, *, pid: int = 0) -> dict[str, Any]:
         """The Chrome trace-event document (``chrome://tracing`` / Perfetto).
@@ -178,7 +197,7 @@ class SpanTracer:
         begin events (``ph: "B"``) so viewers show them as unterminated.
         """
         events: list[dict[str, Any]] = []
-        for span in self._spans:
+        for span in self._spans():
             base: dict[str, Any] = {
                 "name": span.name,
                 "cat": span.cat or "repro",
@@ -228,10 +247,11 @@ class SpanTracer:
 
     def to_jsonl(self) -> str:
         """One canonical JSON object per span, newline-separated."""
+        spans = self._spans()
         return "\n".join(
             json.dumps(span.to_dict(), sort_keys=True, separators=(",", ":"))
-            for span in self._spans
-        ) + ("\n" if self._spans else "")
+            for span in spans
+        ) + ("\n" if spans else "")
 
     @classmethod
     def from_jsonl(cls, text: str) -> SpanTracer:

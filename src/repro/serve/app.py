@@ -31,7 +31,8 @@ from ..core.errors import ConfigurationError, ReproError
 from ..core.platform import Platform
 from ..gateway import EdgeLimit, Gateway
 from ..gateway.gateway import Ticket
-from ..obs.causal import TraceContext, explain_request
+from ..obs.causal import explain_request
+from ..obs.metrics import MetricsRegistry
 from ..obs.artifact import RunTelemetry
 from ..obs.slo import SloRule, SloWatchdog, default_slo_rules
 from ..obs.telemetry import Telemetry
@@ -105,6 +106,29 @@ class ServeConfig:
     def __post_init__(self) -> None:
         if self.journal_path is not None:
             self.journal_path = Path(self.journal_path)
+
+
+class _EdgeMetrics:
+    """The HTTP edge's instruments, bound once per telemetry handle.
+
+    Label sets are bounded (route patterns, methods, statuses, outcomes),
+    so each is bound on first sight and kept.
+    """
+
+    def __init__(self, metrics: MetricsRegistry) -> None:
+        self.requests = metrics.family(
+            "counter", "serve_requests_total", "HTTP requests by endpoint and status.",
+            "endpoint", "method", "status",
+        )
+        self.seconds = metrics.family(
+            "histogram", "serve_request_seconds",
+            "Wall-clock request latency at the HTTP edge (seconds).",
+            "endpoint", buckets=REQUEST_LATENCY_BUCKETS,
+        )
+        self.decisions = metrics.family(
+            "counter", "serve_decisions_total", "Admission decisions served, by outcome.",
+            "outcome",
+        )
 
 
 class ServeApp:
@@ -276,14 +300,9 @@ class ServeApp:
         if not self.telemetry.enabled:
             return
         elapsed = max(0.0, self.clock.perf() - start)
-        self.telemetry.metrics.counter(
-            "serve_requests_total", "HTTP requests by endpoint and status."
-        ).inc(endpoint=endpoint, method=method, status=status)
-        self.telemetry.metrics.histogram(
-            "serve_request_seconds",
-            "Wall-clock request latency at the HTTP edge (seconds).",
-            buckets=REQUEST_LATENCY_BUCKETS,
-        ).observe(elapsed, endpoint=endpoint)
+        bound = self.telemetry.bundle(_EdgeMetrics)
+        bound.requests(endpoint, method, status).inc()
+        bound.seconds(endpoint).observe(elapsed)
 
     # ------------------------------------------------------------------
     # Decision-side accounting (submit endpoints)
@@ -297,7 +316,6 @@ class ServeApp:
         """
         if not self.telemetry.enabled:
             return
-        ctx = TraceContext.root(ticket.rid).child("http")
         outcome = (
             "edge-refused"
             if ticket.edge_refused
@@ -307,17 +325,19 @@ class ServeApp:
                 else "rejected"
             )
         )
+        # The fields of TraceContext.root(rid).child("http").
+        root = f"req-{ticket.rid}"
         self.telemetry.emit(
             "serve.decision",
             self.clock.now(),
             rid=ticket.rid,
             client=ticket.client,
             outcome=outcome,
-            **ctx.fields(),
+            trace=root,
+            span=f"{root}/http",
+            parent=root,
         )
-        self.telemetry.metrics.counter(
-            "serve_decisions_total", "Admission decisions served, by outcome."
-        ).inc(outcome=outcome)
+        self.telemetry.bundle(_EdgeMetrics).decisions(outcome).inc()
 
     # ------------------------------------------------------------------
     # Explain (the PR-8 causal plane over HTTP)

@@ -12,6 +12,8 @@ from dataclasses import dataclass
 from collections.abc import Iterator
 from typing import TYPE_CHECKING, Any
 
+from ..obs.ring import Ring
+
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .events import Event
 
@@ -34,13 +36,12 @@ class EventTrace:
     ----------
     capacity:
         Optional bound; older records are dropped FIFO once exceeded (keeps
-        long simulations memory-bounded when only the tail matters).
+        long simulations memory-bounded when only the tail matters).  The
+        records live in a :class:`~repro.obs.ring.Ring`: O(1) per record.
     """
 
     def __init__(self, capacity: int | None = None) -> None:
-        self._records: list[TraceRecord] = []
-        self._capacity = capacity
-        self._dropped = 0
+        self._records: Ring[TraceRecord] = Ring(capacity)
 
     def record(self, event: Event) -> None:
         """Record a dispatched :class:`~repro.sim.events.Event`."""
@@ -50,10 +51,6 @@ class EventTrace:
     def append(self, time: float, label: str, payload: Any = None) -> None:
         """Record an arbitrary row (schedulers log decisions through this)."""
         self._records.append(TraceRecord(time, label, payload))
-        if self._capacity is not None and len(self._records) > self._capacity:
-            overflow = len(self._records) - self._capacity
-            del self._records[:overflow]
-            self._dropped += overflow
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:
@@ -68,7 +65,7 @@ class EventTrace:
     @property
     def dropped(self) -> int:
         """Number of records evicted due to the capacity bound."""
-        return self._dropped
+        return self._records.dropped
 
     def filter(self, label: str) -> list[TraceRecord]:
         """All records with the given label."""
@@ -102,8 +99,8 @@ class EventTrace:
                 readmissions += 1
         return {
             "retained": len(self._records),
-            "dropped": self._dropped,
-            "recorded": len(self._records) + self._dropped,
+            "dropped": self._records.dropped,
+            "recorded": len(self._records) + self._records.dropped,
             "labels": dict(sorted(labels.items())),
             "reject_reasons": dict(sorted(reject_reasons.items())),
             "readmissions": readmissions,

@@ -43,6 +43,7 @@ GATES = {
             "booking.max_null_overhead": "MAX_NULL_OVERHEAD",
             "booking.repeats": "REPEATS",
             "tracing.max_tracing_overhead": "MAX_TRACING_OVERHEAD",
+            "tracing.max_traced_over_null_wall": "MAX_TRACED_OVER_NULL_WALL",
             "tracing.repeats": "TRACING_REPEATS",
         },
     ),

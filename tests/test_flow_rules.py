@@ -376,6 +376,21 @@ class TestGL013NondetTaint:
         assert len(findings) == 1
         assert "recorder.record" in findings[0].message
 
+    def test_fires_on_wall_clock_into_flight_recorder_hop(self, tmp_path):
+        report = _scan(
+            tmp_path,
+            """\
+            import time
+
+            def note(self, component, kind, ctx):
+                stamp = time.time()
+                self.recorder.hop(component, (kind, stamp, "causal", 0, "t", "s", None, {}))
+            """,
+        )
+        findings = _active(report, "GL013")
+        assert len(findings) == 1
+        assert "recorder.hop" in findings[0].message
+
     def test_fires_on_rng_into_slo_breach(self, tmp_path):
         report = _scan(
             tmp_path,

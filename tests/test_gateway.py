@@ -417,6 +417,43 @@ class TestJournalReplay:
         gw.drain(9.0)
         assert Gateway.replay(journal).snapshot() == gw.snapshot()
 
+    @pytest.mark.parametrize("verb", ["cancel", "abort", "reshape"])
+    def test_unknown_rid_leaves_no_state(self, verb):
+        # The rid is resolved before the clock advances (which would flush
+        # the open batch): a verb that raises KeyError moves nothing.
+        journal = Journal()
+        gw = Gateway(platform(), num_shards=2, batch_size=4, journal=journal)
+        gw.submit(ingress=0, egress=1, volume=800.0, deadline=60.0, now=0.0)
+        before = gw.snapshot()
+        assert before["pending"]  # an open batch the advance would flush
+        with pytest.raises(KeyError):
+            getattr(gw, verb)(99, now=7.0)
+        assert gw.snapshot() == before
+        with pytest.raises(ConfigurationError):  # the clock check still comes first
+            getattr(gw, verb)(99, now=-1.0)
+        gw.submit(ingress=1, egress=2, volume=400.0, deadline=80.0, now=3.0)
+        gw.drain(3.0)
+        assert Gateway.replay(journal).snapshot() == gw.snapshot()
+
+    def test_verb_on_pending_rid_flushes_it_first(self):
+        # A rid still in the open batch is known: the verb decides it.
+        journal = Journal()
+        gw = Gateway(platform(), num_shards=2, batch_size=4, journal=journal)
+        ticket = gw.submit(ingress=0, egress=1, volume=800.0, deadline=60.0, now=0.0)
+        assert not ticket.decided
+        assert gw.cancel(ticket.rid, now=1.0) is True
+        assert Gateway.replay(journal).snapshot() == gw.snapshot()
+
+    @pytest.mark.parametrize("verb", ["crash_broker", "restart_broker"])
+    def test_unknown_shard_leaves_no_state(self, verb):
+        journal = Journal()
+        gw = Gateway(platform(), num_shards=2, batch_size=4, journal=journal)
+        gw.submit(ingress=0, egress=1, volume=800.0, deadline=60.0, now=0.0)
+        before = gw.snapshot()
+        with pytest.raises(ConfigurationError):
+            getattr(gw, verb)(9, now=7.0)
+        assert gw.snapshot() == before
+
     def test_replay_requires_gateway_journal(self):
         journal = Journal()
         journal.set_header({"kind": "service"})

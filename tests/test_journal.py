@@ -116,6 +116,35 @@ class TestReplay:
         assert after.rid == 1
         assert ReservationService.replay(journal).snapshot() == service.snapshot()
 
+    @pytest.mark.parametrize("verb", ["cancel", "abort", "reshape"])
+    def test_unknown_rid_leaves_no_state(self, platform, verb):
+        # The rid is resolved before the clock moves, so a verb that raises
+        # KeyError is as if it never happened: live equals replay after.
+        journal = Journal()
+        service = ReservationService(platform, journal=journal)
+        service.submit(ingress=0, egress=1, volume=5000.0, deadline=100.0, now=0.0)
+        before = service.snapshot()
+        with pytest.raises(KeyError):
+            getattr(service, verb)(99, now=7.0)
+        assert service.snapshot() == before
+        with pytest.raises(ConfigurationError):  # the clock check still comes first
+            getattr(service, verb)(99, now=-1.0)
+        service.submit(ingress=1, egress=0, volume=3000.0, deadline=80.0, now=4.0)
+        assert ReservationService.replay(journal).snapshot() == service.snapshot()
+
+    def test_abort_of_non_live_rid_is_journaled(self, platform):
+        # A refused abort still moves the clock, so it is journaled: replay
+        # lands on the same clock and the next op sees the same state.
+        journal = Journal()
+        service = ReservationService(platform, journal=journal)
+        service.submit(ingress=0, egress=1, volume=5000.0, deadline=100.0, now=0.0)
+        service.cancel(0, now=1.0)
+        assert service.abort(0, now=8.0) is False
+        assert [entry.op for entry in journal][-1] == "abort"
+        assert ReservationService.replay(journal).snapshot() == service.snapshot()
+        service.submit(ingress=1, egress=0, volume=3000.0, deadline=80.0, now=9.0)
+        assert ReservationService.replay(journal).snapshot() == service.snapshot()
+
     def test_replay_from_disk_after_crash(self, platform, tmp_path):
         path = tmp_path / "wal.jsonl"
         service = ReservationService(platform, backlog_limit=2, journal=Journal(path=path))

@@ -161,7 +161,7 @@ class TestTracedPipeline:
                 max_rate=request.max_rate,
             )
         gw.drain(500.0)
-        assert gw._trace_roots == {}
+        assert all(gw._trace_ctx(r.rid) is None for r in gw.reservations())
 
     def test_recorder_alone_enables_tracing(self):
         recorder = FlightRecorder()
